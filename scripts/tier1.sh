@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:--j$(nproc)}"
 
+echo "== tier-1: non-test source line count =="
+scripts/loc.sh
+echo
+
 echo "== tier-1: build (warnings-as-errors) + full ctest =="
 cmake -B build -S . -DVEDLIOT_WERROR=ON > /dev/null
 cmake --build build "${JOBS}" > /dev/null

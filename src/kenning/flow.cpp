@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "graph/cost.hpp"
+#include "runtime/instrument.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/session.hpp"
 #include "util/stats.hpp"
@@ -81,19 +82,19 @@ MeasurementReport HostRuntime::benchmark(ModelWrapper& model, const std::vector<
   report.target = name();
   report.samples = dataset.size();
 
-  // Direct Executor use: this target reports per-op hotspots, which only the
-  // engine's profiling hook exposes (the session API deliberately does not).
-  const Graph& g = model.graph();
-  const std::string& in_name = g.node(g.inputs().front()).name;
-  Executor exec(g);
-  exec.enable_profiling();
+  // A deployment-shaped session (arena on, activations released) timed per
+  // run; the per-op-class node histograms it records give the hotspots.
+  obs::MetricsRegistry metrics;
+  runtime::RunOptions opts;
+  opts.metrics = &metrics;
+  const auto session = runtime::make_session(model.graph(), opts);
   std::vector<double> latencies;
   std::vector<std::size_t> preds;
   latencies.reserve(dataset.size());
   for (const auto& sample : dataset) {
     const Tensor input = model.preprocess(sample.input);
     const auto t0 = std::chrono::steady_clock::now();
-    const Tensor out = exec.run({{in_name, input}}).begin()->second;
+    const Tensor out = session->run_single(input);
     const auto t1 = std::chrono::steady_clock::now();
     latencies.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
     preds.push_back(model.postprocess(out));
@@ -105,9 +106,15 @@ MeasurementReport HostRuntime::benchmark(ModelWrapper& model, const std::vector<
   const MemoryPlan plan = plan_memory(model.graph(), DType::kFP32);
   report.arena_mib = static_cast<double>(plan.arena_bytes) / (1024.0 * 1024.0);
   report.weight_mib = weight_bytes(model.graph(), DType::kFP32) / (1024.0 * 1024.0);
-  for (const auto& [kind, prof] : exec.hotspots(3)) {
-    report.hotspots_ms.emplace_back(std::string(op_name(kind)), prof.total_seconds * 1e3);
+  // Accumulated time per op class (histogram sums are microseconds).
+  const std::string prefix = runtime_detail::kOpHistogramPrefix;
+  for (const auto& [name, hist] : metrics.histograms()) {
+    if (name.rfind(prefix, 0) != 0 || hist.total() == 0) continue;
+    report.hotspots_ms.emplace_back(name.substr(prefix.size()), hist.sum() / 1e3);
   }
+  std::stable_sort(report.hotspots_ms.begin(), report.hotspots_ms.end(),
+                   [](const auto& a, const auto& b) { return a.second > b.second; });
+  if (report.hotspots_ms.size() > 3) report.hotspots_ms.resize(3);
   if (!dataset.empty()) fill_quality(report, model, dataset, preds);
   return report;
 }

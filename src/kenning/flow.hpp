@@ -20,7 +20,7 @@
 #include "hw/perf_model.hpp"
 #include "kenning/metrics.hpp"
 #include "opt/pass.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/session.hpp"
 
 namespace vedliot::kenning {
 

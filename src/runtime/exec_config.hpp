@@ -32,29 +32,21 @@ struct ExecConfig {
   /// Kernel dispatch level request (util::resolve_simd_level applies the
   /// VEDLIOT_FORCE_PORTABLE / VEDLIOT_SIMD env overrides and availability
   /// on top). kAuto picks the best level the host supports; kPortable pins
-  /// the scalar reference kernels — the testable fallback the dispatch
+  /// the scalar microkernel tiles — the testable fallback the dispatch
   /// layer must always keep selectable.
   util::SimdLevel simd = util::SimdLevel::kAuto;
 
-  /// Inter-op parallelism: independent graph branches (dataflow waves) run
-  /// concurrently across this many threads when > 1. Intra-op threading is
-  /// suspended inside a parallel wave, and output bits never depend on this
-  /// value. Float backend only; the int8 backend ignores it.
-  unsigned inter_op = 1;
-
   bool operator==(const ExecConfig& other) const {
-    return max_batch == other.max_batch && threads == other.threads && simd == other.simd &&
-           inter_op == other.inter_op;
+    return max_batch == other.max_batch && threads == other.threads && simd == other.simd;
   }
   bool operator!=(const ExecConfig& other) const { return !(*this == other); }
 
-  /// "ExecConfig{max_batch=4, threads=2, simd=auto, inter_op=1}" for logs
-  /// and violation messages.
+  /// "ExecConfig{max_batch=4, threads=2, simd=auto}" for logs and violation
+  /// messages.
   std::string to_string() const {
     return "ExecConfig{max_batch=" + std::to_string(max_batch) +
            ", threads=" + std::to_string(threads) +
-           ", simd=" + std::string(util::simd_level_name(simd)) +
-           ", inter_op=" + std::to_string(inter_op) + "}";
+           ", simd=" + std::string(util::simd_level_name(simd)) + "}";
   }
 };
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "analysis/dataflow.hpp"
 #include "runtime/instrument.hpp"
 #include "runtime/memory_planner.hpp"
 
@@ -20,23 +19,6 @@ OpKind fused_act_kind(const Node& n) {
   const std::string name = n.attrs.get_str_or("fused_act", "");
   if (name.empty()) return OpKind::kIdentity;
   return parse_op(name);
-}
-
-Conv2dGeometry conv_geometry(const Graph& g, const Node& n) {
-  Conv2dGeometry geo;
-  const Shape& in = g.node(n.inputs.at(0)).out_shape;
-  geo.batch = n.out_shape.n();
-  geo.in_c = in.c();
-  geo.in_h = in.h();
-  geo.in_w = in.w();
-  geo.out_c = n.out_shape.c();
-  geo.out_h = n.out_shape.h();
-  geo.out_w = n.out_shape.w();
-  geo.kernel = n.attrs.get_int("kernel");
-  geo.stride = n.attrs.get_int_or("stride", 1);
-  geo.pad = n.attrs.get_int_or("pad", 0);
-  geo.groups = n.attrs.get_int_or("groups", 1);
-  return geo;
 }
 
 }  // namespace
@@ -57,7 +39,7 @@ Executor::Executor(const Graph& graph) : graph_(graph) {
       plan.fused_act = fused_act_kind(n);
       plan.fused_alpha = n.attrs.get_float_or("fused_alpha", 0.01);
     }
-    if (n.kind == OpKind::kConv2d) plan.conv = conv_geometry(graph_, n);
+    if (n.kind == OpKind::kConv2d) plan.conv = Conv2dGeometry::of(graph_, n);
     if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool) {
       plan.pool_kernel = n.attrs.get_int("kernel");
       plan.pool_stride = n.attrs.get_int_or("stride", plan.pool_kernel);
@@ -79,18 +61,9 @@ void Executor::set_threads(unsigned threads) {
   pool_ = threads_ > 1 ? std::make_unique<util::ThreadPool>(threads_) : nullptr;
 }
 
-void Executor::set_inter_op(unsigned inter_op) {
-  if (inter_op == 0) inter_op = util::ThreadPool::hardware_threads();
-  if (inter_op == inter_op_) return;
-  inter_op_ = inter_op;
-  wave_pool_ = inter_op_ > 1 ? std::make_unique<util::ThreadPool>(inter_op_) : nullptr;
-}
-
 void Executor::pfor(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const util::ThreadPool::ChunkFn& fn) {
-  // Inside a parallel wave the intra-op pool is unavailable (the pool does
-  // not nest); each wave node runs its kernels inline.
-  if (pool_ == nullptr || in_wave_) {
+  if (pool_ == nullptr) {
     if (end > begin) fn(begin, end, 0);
     return;
   }
@@ -135,7 +108,7 @@ void Executor::feed_input(const Node& n, const std::map<std::string, Tensor>& fe
   values_[n.id] = it->second;
 }
 
-void Executor::exec_node_serial(const Node& n) {
+void Executor::exec_node(const Node& n) {
   std::vector<const Tensor*> ins;
   ins.reserve(n.inputs.size());
   for (NodeId in : n.inputs) ins.push_back(&values_.at(in));
@@ -146,20 +119,12 @@ void Executor::exec_node_serial(const Node& n) {
   }
   const NodePlan& plan = plans_[static_cast<std::size_t>(n.id)];
   Tensor out = alloc_output(n);
-  const bool timed = profiling_ || metrics_ != nullptr;
-  if (timed) {
+  if (metrics_ != nullptr) {
     const auto t0 = std::chrono::steady_clock::now();
     execute_node(n, plan, ins, out);
     const auto t1 = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (profiling_) {
-      auto& entry = profile_[n.kind];
-      ++entry.invocations;
-      entry.total_seconds += seconds;
-    }
-    if (metrics_ != nullptr) {
-      runtime_detail::op_histogram(*metrics_, n.kind).add(seconds * 1e6);
-    }
+    runtime_detail::op_histogram(*metrics_, n.kind)
+        .add(std::chrono::duration<double>(t1 - t0).count() * 1e6);
   } else {
     execute_node(n, plan, ins, out);
   }
@@ -169,58 +134,6 @@ void Executor::exec_node_serial(const Node& n) {
     node_span.close();
   }
   ++nodes_executed_;
-}
-
-void Executor::run_waves(const std::map<std::string, Tensor>& feeds) {
-  if (!waves_computed_ || waves_version_ != graph_.version()) {
-    waves_ = analysis::Dataflow::compute(graph_).waves();
-    waves_version_ = graph_.version();
-    waves_computed_ = true;
-  }
-  for (const auto& wave : waves_) {
-    std::vector<NodeId> work;
-    work.reserve(wave.size());
-    for (NodeId id : wave) {
-      const Node& n = graph_.node(id);
-      if (n.kind == OpKind::kInput) {
-        feed_input(n, feeds);
-      } else {
-        work.push_back(id);
-      }
-    }
-    if (work.empty()) continue;
-    if (work.size() == 1 || wave_pool_ == nullptr) {
-      // A single-node wave keeps the full serial path (spans, profiling,
-      // intra-op threading) — most of a deep chain executes here.
-      for (NodeId id : work) exec_node_serial(graph_.node(id));
-      continue;
-    }
-    // Parallel wave: pre-insert every output on this thread (the values_
-    // map must not be mutated concurrently), then execute the nodes over
-    // the wave pool. Each node runs fully serially inside (pfor inlines),
-    // computes exactly what its serial execution computes, and writes only
-    // its own pre-allocated tensor — so bits match the serial schedule.
-    for (NodeId id : work) values_[id] = Tensor(graph_.node(id).out_shape);
-    in_wave_ = true;
-    try {
-      wave_pool_->parallel_for(
-          0, static_cast<std::int64_t>(work.size()), 1,
-          [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const Node& n = graph_.node(work[static_cast<std::size_t>(i)]);
-              std::vector<const Tensor*> ins;
-              ins.reserve(n.inputs.size());
-              for (NodeId in : n.inputs) ins.push_back(&values_.at(in));
-              execute_node(n, plans_[static_cast<std::size_t>(n.id)], ins, values_.at(n.id));
-            }
-          });
-    } catch (...) {
-      in_wave_ = false;
-      throw;
-    }
-    in_wave_ = false;
-    nodes_executed_ += work.size();
-  }
 }
 
 std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>& feeds) {
@@ -234,11 +147,8 @@ std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>&
   // Dispatch level resolved per run (env overrides are live) — the whole
   // run executes at one level.
   active_simd_ = util::resolve_simd_level(simd_req_);
-  mk_ = use_gemm_ ? runtime_kernels::gemm_microkernels(active_simd_) : nullptr;
-  const bool wave_mode = inter_op_ > 1;
-  // The arena's liveness plan assumes the serial topological schedule; a
-  // concurrent wave would alias buffers the plan considers dead.
-  arena_stats_.active = use_arena_ && !keep_activations_ && !wave_mode;
+  mk_ = &runtime_kernels::gemm_microkernels(active_simd_);
+  arena_stats_.active = !keep_activations_;
   if (arena_stats_.active) prepare_arena();
 
   obs::ScopedSpan run_span;
@@ -250,17 +160,13 @@ std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>&
     run_span.attr("simd", std::string(util::simd_level_name(active_simd_)));
   }
 
-  if (wave_mode) {
-    run_waves(feeds);
-  } else {
-    for (NodeId id : graph_.topo_order()) {
-      const Node& n = graph_.node(id);
-      if (n.kind == OpKind::kInput) {
-        feed_input(n, feeds);
-        continue;
-      }
-      exec_node_serial(n);
+  for (NodeId id : graph_.topo_order()) {
+    const Node& n = graph_.node(id);
+    if (n.kind == OpKind::kInput) {
+      feed_input(n, feeds);
+      continue;
     }
+    exec_node(n);
   }
 
   std::map<std::string, Tensor> outs;
@@ -294,15 +200,6 @@ std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>&
   return outs;
 }
 
-std::vector<std::pair<OpKind, Executor::OpProfile>> Executor::hotspots(std::size_t top_n) const {
-  std::vector<std::pair<OpKind, OpProfile>> out(profile_.begin(), profile_.end());
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second.total_seconds > b.second.total_seconds;
-  });
-  if (out.size() > top_n) out.resize(top_n);
-  return out;
-}
-
 const Tensor& Executor::activation(const std::string& node_name) const {
   for (const auto& [id, t] : values_) {
     if (graph_.node(id).name == node_name) return t;
@@ -316,7 +213,7 @@ void Executor::record_gemm(double seconds, double flops) {
   gemm_flops_ += flops;
 }
 
-void Executor::conv2d_gemm(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out) {
+void Executor::conv2d(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out) {
   using namespace runtime_kernels;
   const Conv2dGeometry& geo = plan.conv;
   const float* x = in.data().data();
@@ -334,62 +231,38 @@ void Executor::conv2d_gemm(const Node& n, const NodePlan& plan, const Tensor& in
       });
     }
   } else {
+    const GemmMicrokernels& mk = *mk_;
     const std::int64_t patch = geo.patch();
     const std::int64_t cols = geo.cols();
-    // In a parallel wave the shared scratch buffers would race across
-    // concurrently executing conv nodes; fall back to node-local storage.
-    std::vector<float> local_col, local_pb;
-    std::vector<float>& colbuf = in_wave_ ? local_col : scratch_;
     const std::size_t need = static_cast<std::size_t>(patch * cols);
-    if (colbuf.size() < need) colbuf.resize(need);
-    float* col = colbuf.data();
-
-    const GemmMicrokernels* mk =
-        (mk_ != nullptr && mk_->gemm_f32 != nullptr && mk_->f32.available()) ? mk_ : nullptr;
+    if (scratch_.size() < need) scratch_.resize(need);
+    float* col = scratch_.data();
     const std::int64_t m = geo.ocg();
-    if (mk != nullptr) {
-      std::vector<float>& pbbuf = in_wave_ ? local_pb : packed_b_;
-      const std::size_t pb_need = packed_b_f32_elems(patch, cols, mk->f32);
-      if (pbbuf.size() < pb_need) pbbuf.resize(pb_need);
-      const std::int64_t b_panels = panel_count(cols, mk->f32.nr);
-      const std::int64_t a_panels = panel_count(m, mk->f32.mr);
-      for (std::int64_t b = 0; b < geo.batch; ++b) {
-        for (std::int64_t g = 0; g < geo.groups; ++g) {
-          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            im2col_f32(x, geo, b, g, lo, hi, col);
-          });
-          pfor(0, b_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            pack_b_f32(col, patch, cols, mk->f32, lo, hi, pbbuf.data());
-          });
-          const float* a = w + g * m * patch;
-          const std::vector<float>& pa =
-              packed_.get_f32(n.id, g, graph_.version(), mk->f32, [&](std::vector<float>& v) {
-                v.resize(packed_a_f32_elems(m, patch, mk->f32));
-                pack_a_f32(a, m, patch, mk->f32, v.data());
-              });
-          const float* gbias = bias != nullptr ? bias + g * m : nullptr;
-          float* c = y + ((b * geo.out_c + g * m) * cols);
-          pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            mk->gemm_f32(pa.data(), pbbuf.data(), c, m, cols, patch, cols,
-                         /*col_major_store=*/false, lo, hi, gbias, plan.fused_act,
-                         plan.fused_alpha);
-          });
-        }
-      }
-    } else {
-      for (std::int64_t b = 0; b < geo.batch; ++b) {
-        for (std::int64_t g = 0; g < geo.groups; ++g) {
-          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            im2col_f32(x, geo, b, g, lo, hi, col);
-          });
-          const float* a = w + g * m * patch;
-          const float* gbias = bias != nullptr ? bias + g * m : nullptr;
-          float* c = y + ((b * geo.out_c + g * m) * cols);
-          pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            gemm_rows_f32(a, col, c, lo, hi, cols, patch, gbias, plan.fused_act,
-                          plan.fused_alpha);
-          });
-        }
+    const std::size_t pb_need = packed_b_f32_elems(patch, cols, mk.f32);
+    if (packed_b_.size() < pb_need) packed_b_.resize(pb_need);
+    const std::int64_t b_panels = panel_count(cols, mk.f32.nr);
+    const std::int64_t a_panels = panel_count(m, mk.f32.mr);
+    for (std::int64_t b = 0; b < geo.batch; ++b) {
+      for (std::int64_t g = 0; g < geo.groups; ++g) {
+        pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          im2col_f32(x, geo, b, g, lo, hi, col);
+        });
+        pfor(0, b_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          pack_b_f32(col, patch, cols, mk.f32, lo, hi, packed_b_.data());
+        });
+        const float* a = w + g * m * patch;
+        const std::vector<float>& pa =
+            packed_.get_f32(n.id, g, graph_.version(), mk.f32, [&](std::vector<float>& v) {
+              v.resize(packed_a_f32_elems(m, patch, mk.f32));
+              pack_a_f32(a, m, patch, mk.f32, v.data());
+            });
+        const float* gbias = bias != nullptr ? bias + g * m : nullptr;
+        float* c = y + ((b * geo.out_c + g * m) * cols);
+        pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          mk.gemm_f32(pa.data(), packed_b_.data(), c, m, cols, patch, cols,
+                      /*col_major_store=*/false, lo, hi, gbias, plan.fused_act,
+                      plan.fused_alpha);
+        });
       }
     }
   }
@@ -398,56 +271,12 @@ void Executor::conv2d_gemm(const Node& n, const NodePlan& plan, const Tensor& in
   record_gemm(std::chrono::duration<double>(t1 - t0).count(), 2.0 * geo.macs());
 }
 
-void Executor::conv2d_direct(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out) {
-  // The numerically faithful reference path: the original 6-deep loop nest
-  // with double accumulation, partitioned over output channels.
-  const Conv2dGeometry& geo = plan.conv;
-  const Tensor& w = n.weights[0];
-  const Tensor* bias = n.weights.size() > 1 ? &n.weights[1] : nullptr;
-  const std::int64_t icg = geo.icg(), ocg = geo.ocg(), k = geo.kernel;
-
-  for (std::int64_t b = 0; b < geo.batch; ++b) {
-    pfor(0, geo.out_c, 1, [&](std::int64_t oc_lo, std::int64_t oc_hi, std::size_t) {
-      for (std::int64_t oc = oc_lo; oc < oc_hi; ++oc) {
-        const auto g = oc / ocg;
-        for (std::int64_t oh = 0; oh < geo.out_h; ++oh) {
-          for (std::int64_t ow = 0; ow < geo.out_w; ++ow) {
-            double acc = bias ? bias->at(static_cast<std::size_t>(oc)) : 0.0;
-            for (std::int64_t ic = 0; ic < icg; ++ic) {
-              const auto in_c = g * icg + ic;
-              for (std::int64_t kh = 0; kh < k; ++kh) {
-                const auto ih = oh * geo.stride - geo.pad + kh;
-                if (ih < 0 || ih >= geo.in_h) continue;
-                for (std::int64_t kw = 0; kw < k; ++kw) {
-                  const auto iw = ow * geo.stride - geo.pad + kw;
-                  if (iw < 0 || iw >= geo.in_w) continue;
-                  acc += static_cast<double>(in.at4(b, in_c, ih, iw)) *
-                         static_cast<double>(w.at4(oc, ic, kh, kw));
-                }
-              }
-            }
-            const float v = static_cast<float>(acc);
-            out.at4(b, oc, oh, ow) =
-                plan.fused_act == OpKind::kIdentity
-                    ? v
-                    : apply_activation(v, plan.fused_act, plan.fused_alpha);
-          }
-        }
-      }
-    });
-  }
-}
-
 void Executor::execute_node(const Node& n, const NodePlan& plan,
                             const std::vector<const Tensor*>& ins, Tensor& out) {
   switch (n.kind) {
     case OpKind::kConv2d: {
       if (n.weights.empty()) throw ExecError("Conv2d " + n.name + " has no weights");
-      if (use_gemm_) {
-        conv2d_gemm(n, plan, *ins.at(0), out);
-      } else {
-        conv2d_direct(n, plan, *ins.at(0), out);
-      }
+      conv2d(n, plan, *ins.at(0), out);
       break;
     }
     case OpKind::kDense: {
@@ -474,34 +303,26 @@ void Executor::execute_node(const Node& n, const NodePlan& plan,
         }
         xin = xt.data();
       }
-      const runtime_kernels::GemmMicrokernels* mk =
-          (mk_ != nullptr && mk_->gemm_f32 != nullptr && mk_->f32.available()) ? mk_ : nullptr;
-      if (mk != nullptr) {
-        // Microkernel over (m=U, n=N, k=F) with the column-major store
-        // writing straight into the [N x U] activation layout. Every lane
-        // occupies one SIMD slot padded to the full tile, so its FMA
-        // sequence — and therefore its bits — is the same whether it runs
-        // in a batch-1 or a batch-8 panel.
-        using namespace runtime_kernels;
-        std::vector<float> pb(packed_b_f32_elems(F, N, mk->f32));
-        pfor(0, panel_count(N, mk->f32.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          pack_b_f32(xin, F, N, mk->f32, lo, hi, pb.data());
-        });
-        const std::vector<float>& pa =
-            packed_.get_f32(n.id, 0, graph_.version(), mk->f32, [&](std::vector<float>& v) {
-              v.resize(packed_a_f32_elems(U, F, mk->f32));
-              pack_a_f32(w, U, F, mk->f32, v.data());
-            });
-        pfor(0, panel_count(U, mk->f32.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          mk->gemm_f32(pa.data(), pb.data(), y, U, N, F, /*ldc=*/U, /*col_major_store=*/true,
-                       lo, hi, bias, plan.fused_act, plan.fused_alpha);
-        });
-      } else {
-        pfor(0, U, 8, [&](std::int64_t u_lo, std::int64_t u_hi, std::size_t) {
-          runtime_kernels::dense_rows_f32(w, xin, y, u_lo, u_hi, N, F, U, bias, plan.fused_act,
-                                          plan.fused_alpha);
-        });
-      }
+      // Microkernel over (m=U, n=N, k=F) with the column-major store
+      // writing straight into the [N x U] activation layout. Every lane
+      // occupies one slot of a tile padded to full width, so its
+      // multiply-add sequence — and therefore its bits — is the same
+      // whether it runs in a batch-1 or a batch-8 panel.
+      using namespace runtime_kernels;
+      const GemmMicrokernels& mk = *mk_;
+      std::vector<float> pb(packed_b_f32_elems(F, N, mk.f32));
+      pfor(0, panel_count(N, mk.f32.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        pack_b_f32(xin, F, N, mk.f32, lo, hi, pb.data());
+      });
+      const std::vector<float>& pa =
+          packed_.get_f32(n.id, 0, graph_.version(), mk.f32, [&](std::vector<float>& v) {
+            v.resize(packed_a_f32_elems(U, F, mk.f32));
+            pack_a_f32(w, U, F, mk.f32, v.data());
+          });
+      pfor(0, panel_count(U, mk.f32.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        mk.gemm_f32(pa.data(), pb.data(), y, U, N, F, /*ldc=*/U, /*col_major_store=*/true, lo,
+                    hi, bias, plan.fused_act, plan.fused_alpha);
+      });
       const auto t1 = std::chrono::steady_clock::now();
       record_gemm(std::chrono::duration<double>(t1 - t0).count(),
                   2.0 * static_cast<double>(N) * static_cast<double>(U) * static_cast<double>(F));

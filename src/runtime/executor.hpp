@@ -6,10 +6,11 @@
 /// "host CPU". Since PR 3 it is a real execution engine rather than a naive
 /// interpreter:
 ///
-///  - Conv2D runs as im2col + cache-blocked GEMM (kernels.hpp) with a fused
-///    bias+activation epilogue; set_use_gemm_conv(false) falls back to the
-///    direct 6-deep loop (kept as the numerical reference and the perf
-///    baseline in bench_runtime).
+///  - Conv2D runs as im2col + the dispatch level's GEMM microkernel
+///    (microkernel.hpp) with a fused bias+activation epilogue; depthwise
+///    convolutions run the direct depthwise kernel (kernels.hpp). Dense runs
+///    the same microkernel. Every dispatch level, portable included, has
+///    one such route per op.
 ///  - Conv/Dense/BatchNorm/pool/elementwise kernels partition their output
 ///    rows/channels over a util::ThreadPool. Accumulation order within each
 ///    output element is fixed, so results are bitwise identical for any
@@ -54,8 +55,8 @@ class Executor {
   ///
   /// This is the engine entry runtime::Session wraps; application code goes
   /// through Session. Direct construction is reserved for calibration-style
-  /// introspection (keep_activations + activation(), arena_stats, profile)
-  /// that the session API deliberately does not expose.
+  /// introspection (keep_activations + activation(), arena_stats) that the
+  /// session API deliberately does not expose.
   std::map<std::string, Tensor> run(const std::map<std::string, Tensor>& feeds);
 
   /// Attach observability sinks (either may be null). When a tracer is set,
@@ -66,9 +67,11 @@ class Executor {
   /// recorded. The sinks must outlive the executor.
   void instrument(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
-  /// When false, intermediate activations are released at the end of run()
-  /// (activation() then throws NotFound). Default true. Keeping activations
-  /// disables the arena: every tensor must stay addressable after the run.
+  /// When false, intermediate activations live in the planner-packed arena
+  /// and are released at the end of run() (activation() then throws
+  /// NotFound). Default true, the calibration mode: every activation is an
+  /// owned heap tensor that stays addressable after the run. Sessions run
+  /// with it off.
   void set_keep_activations(bool keep) { keep_activations_ = keep; }
 
   /// Intra-op parallelism: kernels partition work over this many threads
@@ -83,24 +86,10 @@ class Executor {
   /// The concrete dispatch level the last run() executed at.
   util::SimdLevel active_simd() const { return active_simd_; }
 
-  /// Inter-op parallelism: when > 1, independent nodes of one dataflow wave
-  /// (analysis::Dataflow::waves) execute concurrently over this many
-  /// threads, with intra-op threading suspended inside parallel waves and
-  /// the activation arena disabled (its liveness plan assumes serial
-  /// order). Output bits do not depend on this value.
-  void set_inter_op(unsigned inter_op);
-
   /// Total weight-pack operations of the packed-panel cache — stays flat
   /// across steady-state runs and grows when Graph::version() moves (OTA
   /// swap, scrubber repair) or the dispatch tile changes.
   std::size_t weight_packs() const { return packed_.packs(); }
-
-  /// Execute Conv2D as im2col + GEMM (default) or as the direct loop nest.
-  void set_use_gemm_conv(bool on) { use_gemm_ = on; }
-
-  /// Place intermediate activations in the planner-packed arena (default
-  /// on; effective only while keep_activations is off).
-  void set_use_arena(bool on) { use_arena_ = on; }
 
   /// Arena accounting for the last run().
   struct ArenaStats {
@@ -117,19 +106,6 @@ class Executor {
   /// (used for quantization calibration). Throws NotFound if absent.
   const Tensor& activation(const std::string& node_name) const;
 
-  /// Per-op-kind wall-clock accounting, accumulated across runs when
-  /// profiling is enabled (the Kenning "monitor inference time" hook).
-  struct OpProfile {
-    std::uint64_t invocations = 0;
-    double total_seconds = 0;
-  };
-  void enable_profiling(bool on = true) { profiling_ = on; }
-  const std::map<OpKind, OpProfile>& profile() const { return profile_; }
-  void reset_profile() { profile_.clear(); }
-
-  /// The heaviest op kinds by accumulated time, descending.
-  std::vector<std::pair<OpKind, OpProfile>> hotspots(std::size_t top_n = 3) const;
-
  private:
   /// Per-node execution plan resolved once at construction so the hot loop
   /// never re-parses string attributes or re-derives loop geometry.
@@ -145,16 +121,12 @@ class Executor {
 
   void execute_node(const Node& n, const NodePlan& plan,
                     const std::vector<const Tensor*>& ins, Tensor& out);
-  void conv2d_gemm(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out);
-  void conv2d_direct(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out);
+  void conv2d(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out);
   Tensor alloc_output(const Node& n);
   void prepare_arena();
   void feed_input(const Node& n, const std::map<std::string, Tensor>& feeds);
-  /// Full serial per-node path: span + timing + alloc + execute + store.
-  void exec_node_serial(const Node& n);
-  /// Wave-parallel execution body (inter_op > 1): nodes of one dataflow
-  /// wave run concurrently, each fully serial inside.
-  void run_waves(const std::map<std::string, Tensor>& feeds);
+  /// Per-node path: span + timing + alloc + execute + store.
+  void exec_node(const Node& n);
   void record_gemm(double seconds, double flops);
   /// Dispatch over [begin, end) with the configured pool (inline when
   /// serial); records one pool-utilization sample when metrics are attached.
@@ -165,14 +137,10 @@ class Executor {
   std::vector<NodePlan> plans_;  ///< indexed by NodeId over all node slots
   std::map<NodeId, Tensor> values_;
   std::size_t nodes_executed_ = 0;
-  bool profiling_ = false;
-  std::map<OpKind, OpProfile> profile_;
   bool keep_activations_ = true;
 
   unsigned threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
-  bool use_gemm_ = true;
-  bool use_arena_ = true;
   std::vector<float> arena_;  ///< one slab; node buffers are planner offsets
   std::map<NodeId, std::size_t> arena_offset_;  ///< float offset into arena_
   ArenaStats arena_stats_;
@@ -180,24 +148,13 @@ class Executor {
   std::vector<float> packed_b_;  ///< microkernel B panels, grown on demand
 
   // Runtime SIMD dispatch: requested level, the level the current run
-  // resolved to, and that level's microkernel table (null => portable).
+  // resolved to, and that level's microkernel table.
   util::SimdLevel simd_req_ = util::SimdLevel::kAuto;
   util::SimdLevel active_simd_ = util::SimdLevel::kPortable;
   const runtime_kernels::GemmMicrokernels* mk_ = nullptr;
   runtime_kernels::PackedWeightCache packed_;
 
-  // Inter-op (wave) parallelism state. in_wave_ is set around a parallel
-  // wave dispatch and makes pfor inline (the pool cannot nest) and the
-  // conv scratch buffers node-local.
-  unsigned inter_op_ = 1;
-  std::unique_ptr<util::ThreadPool> wave_pool_;
-  bool in_wave_ = false;
-  std::vector<std::vector<NodeId>> waves_;
-  std::uint64_t waves_version_ = 0;
-  bool waves_computed_ = false;
-
-  // Per-run GEMM accounting feeding the GFLOP/s gauge; the mutex serializes
-  // updates from concurrent wave nodes.
+  // Per-run GEMM accounting feeding the GFLOP/s gauge.
   std::mutex gemm_stats_mutex_;
   double gemm_flops_ VEDLIOT_GUARDED_BY(gemm_stats_mutex_) = 0;
   double gemm_seconds_ VEDLIOT_GUARDED_BY(gemm_stats_mutex_) = 0;

@@ -11,11 +11,14 @@
 
 namespace vedliot::runtime_detail {
 
+/// Name prefix of the per-op-class histograms; the op name follows it.
+inline constexpr const char* kOpHistogramPrefix = "vedliot.runtime.op.";
+
 /// Per-op-class node latency histogram, microseconds over [0, 10 ms).
 /// One sample is added per executed (non-input) node, so the sample counts
 /// across all op-class histograms sum to nodes_executed.
 inline obs::Histogram& op_histogram(obs::MetricsRegistry& registry, OpKind kind) {
-  return registry.histogram("vedliot.runtime.op." + std::string(op_name(kind)),
+  return registry.histogram(kOpHistogramPrefix + std::string(op_name(kind)),
                             /*lo=*/0.0, /*hi=*/1e4, /*buckets=*/50);
 }
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "graph/graph.hpp"
+
 namespace vedliot::runtime_kernels {
 
 float apply_activation(float x, OpKind kind, double alpha) {
@@ -21,6 +23,23 @@ float apply_activation(float x, OpKind kind, double alpha) {
     }
     default: return x;
   }
+}
+
+Conv2dGeometry Conv2dGeometry::of(const Graph& g, const Node& n) {
+  Conv2dGeometry geo;
+  const Shape& in = g.node(n.inputs.at(0)).out_shape;
+  geo.batch = n.out_shape.n();
+  geo.in_c = in.c();
+  geo.in_h = in.h();
+  geo.in_w = in.w();
+  geo.out_c = n.out_shape.c();
+  geo.out_h = n.out_shape.h();
+  geo.out_w = n.out_shape.w();
+  geo.kernel = n.attrs.get_int("kernel");
+  geo.stride = n.attrs.get_int_or("stride", 1);
+  geo.pad = n.attrs.get_int_or("pad", 0);
+  geo.groups = n.attrs.get_int_or("groups", 1);
+  return geo;
 }
 
 double Conv2dGeometry::macs() const {
@@ -79,19 +98,6 @@ void im2col_rows(const T* in, const Conv2dGeometry& g, std::int64_t b, std::int6
   }
 }
 
-std::int8_t requant_sat(double v, std::uint64_t& saturations) {
-  const double r = std::nearbyint(v);
-  if (r > 127.0) {
-    ++saturations;
-    return 127;
-  }
-  if (r < -128.0) {
-    ++saturations;
-    return -128;
-  }
-  return static_cast<std::int8_t>(r);
-}
-
 }  // namespace
 
 void im2col_f32(const float* in, const Conv2dGeometry& g, std::int64_t b, std::int64_t group,
@@ -102,103 +108,6 @@ void im2col_f32(const float* in, const Conv2dGeometry& g, std::int64_t b, std::i
 void im2col_s8(const std::int8_t* in, const Conv2dGeometry& g, std::int64_t b,
                std::int64_t group, std::int64_t row_lo, std::int64_t row_hi, std::int8_t* col) {
   im2col_rows(in, g, b, group, row_lo, row_hi, col);
-}
-
-void gemm_rows_f32(const float* a, const float* b, float* c, std::int64_t m_lo,
-                   std::int64_t m_hi, std::int64_t n, std::int64_t k, const float* bias,
-                   OpKind act, double alpha) {
-  // Column blocking keeps a [K x kNB] panel of B plus one accumulator row
-  // hot; the kp loop is an axpy over a contiguous row of B, which the
-  // compiler vectorizes. k-order is 0..K-1 for every element regardless of
-  // blocking, so the result is independent of the (m) partition.
-  constexpr std::int64_t kNB = 256;
-  for (std::int64_t j0 = 0; j0 < n; j0 += kNB) {
-    const std::int64_t jn = std::min(kNB, n - j0);
-    for (std::int64_t m = m_lo; m < m_hi; ++m) {
-      float acc[kNB];
-      const float init = bias != nullptr ? bias[m] : 0.0f;
-      for (std::int64_t j = 0; j < jn; ++j) acc[j] = init;
-      const float* arow = a + m * k;
-      for (std::int64_t kp = 0; kp < k; ++kp) {
-        const float av = arow[kp];
-        if (av == 0.0f) continue;  // pruned weights are exact zeros
-        const float* brow = b + kp * n + j0;
-        for (std::int64_t j = 0; j < jn; ++j) acc[j] += av * brow[j];
-      }
-      float* crow = c + m * n + j0;
-      if (act == OpKind::kIdentity) {
-        for (std::int64_t j = 0; j < jn; ++j) crow[j] = acc[j];
-      } else {
-        for (std::int64_t j = 0; j < jn; ++j) crow[j] = apply_activation(acc[j], act, alpha);
-      }
-    }
-  }
-}
-
-void dense_rows_f32(const float* w, const float* xt, float* y, std::int64_t u_lo,
-                    std::int64_t u_hi, std::int64_t batch, std::int64_t features,
-                    std::int64_t units, const float* bias, OpKind act, double alpha) {
-  // Lane blocking bounds the accumulator tile; the inner j loop carries
-  // independent per-lane sums, so it vectorizes without reassociating any
-  // single lane's f-order. A per-sample dot product is a serial dependency
-  // chain the compiler cannot reorder — amortizing the weight row across
-  // lanes is where the batch >= 2 speedup comes from. No zero-skip here:
-  // dense weights are not pruned, and the epilogue must match the
-  // historical per-sample loop bit for bit.
-  constexpr std::int64_t kJB = 64;
-  for (std::int64_t j0 = 0; j0 < batch; j0 += kJB) {
-    const std::int64_t jn = std::min(kJB, batch - j0);
-    for (std::int64_t u = u_lo; u < u_hi; ++u) {
-      float acc[kJB];
-      const float init = bias != nullptr ? bias[u] : 0.0f;
-      for (std::int64_t j = 0; j < jn; ++j) acc[j] = init;
-      const float* wrow = w + u * features;
-      for (std::int64_t f = 0; f < features; ++f) {
-        const float wv = wrow[f];
-        const float* xrow = xt + f * batch + j0;
-        for (std::int64_t j = 0; j < jn; ++j) acc[j] += wv * xrow[j];
-      }
-      if (act == OpKind::kIdentity) {
-        for (std::int64_t j = 0; j < jn; ++j) y[(j0 + j) * units + u] = acc[j];
-      } else {
-        for (std::int64_t j = 0; j < jn; ++j) {
-          y[(j0 + j) * units + u] = apply_activation(acc[j], act, alpha);
-        }
-      }
-    }
-  }
-}
-
-std::uint64_t gemm_rows_s8(const std::int8_t* a, const std::int8_t* b, std::int8_t* c,
-                           std::int64_t m_lo, std::int64_t m_hi, std::int64_t n,
-                           std::int64_t k, const std::int32_t* bias, const double* mult,
-                           std::int32_t q_lo, std::int32_t q_hi) {
-  constexpr std::int64_t kNB = 256;
-  std::uint64_t saturations = 0;
-  for (std::int64_t j0 = 0; j0 < n; j0 += kNB) {
-    const std::int64_t jn = std::min(kNB, n - j0);
-    for (std::int64_t m = m_lo; m < m_hi; ++m) {
-      std::int32_t acc[kNB];
-      const std::int32_t init = bias != nullptr ? bias[m] : 0;
-      for (std::int64_t j = 0; j < jn; ++j) acc[j] = init;
-      const std::int8_t* arow = a + m * k;
-      for (std::int64_t kp = 0; kp < k; ++kp) {
-        const std::int32_t av = arow[kp];
-        if (av == 0) continue;
-        const std::int8_t* brow = b + kp * n + j0;
-        for (std::int64_t j = 0; j < jn; ++j) acc[j] += av * static_cast<std::int32_t>(brow[j]);
-      }
-      const double m_mult = mult[m];
-      std::int8_t* crow = c + m * n + j0;
-      for (std::int64_t j = 0; j < jn; ++j) {
-        std::int8_t q = requant_sat(static_cast<double>(acc[j]) * m_mult, saturations);
-        if (q < q_lo) q = static_cast<std::int8_t>(q_lo);
-        if (q > q_hi) q = static_cast<std::int8_t>(q_hi);
-        crow[j] = q;
-      }
-    }
-  }
-  return saturations;
 }
 
 void depthwise_f32(const float* in, const float* w, const float* bias, float* out,
@@ -253,10 +162,8 @@ std::uint64_t depthwise_s8(const std::int8_t* in, const std::int8_t* w, const st
                    static_cast<std::int32_t>(wc[kh * k + kw]);
           }
         }
-        std::int8_t q = requant_sat(static_cast<double>(acc) * m_mult, saturations);
-        if (q < q_lo) q = static_cast<std::int8_t>(q_lo);
-        if (q > q_hi) q = static_cast<std::int8_t>(q_hi);
-        oplane[oh * OW + ow] = q;
+        oplane[oh * OW + ow] =
+            requant_clamped(static_cast<double>(acc) * m_mult, q_lo, q_hi, saturations);
       }
     }
   }

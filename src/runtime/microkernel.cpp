@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 
 #include "runtime/kernels.hpp"
@@ -25,26 +24,13 @@ namespace {
 // Tile shapes per level. f32 AVX2 is the classic 6x16: 12 ymm accumulators
 // + 2 B vectors + 1 broadcast leave one register spare. int8 AVX2 is 4x16:
 // 8 ymm int32 accumulators fed by madd_epi16 k-pairs. NEON f32 is 4x8 in
-// q registers.
+// q registers. The portable tiles are 4x8 so their accumulators fit the
+// 16 registers of a baseline SSE2/NEON target once auto-vectorized.
+constexpr MicrokernelTile kPortableF32{4, 8};
+constexpr MicrokernelTile kPortableS8{4, 8};
 constexpr MicrokernelTile kAvx2F32{6, 16};
 constexpr MicrokernelTile kAvx2S8{4, 16};
 constexpr MicrokernelTile kNeonF32{4, 8};
-
-/// Identical to the scalar reference requant (kernels.cpp): round to
-/// nearest, saturate to int8 counting the clamps, then the fused-activation
-/// window. Exact-int accumulators make this the whole numerical story.
-inline std::int8_t requant_sat(double v, std::uint64_t& saturations) {
-  const double r = std::nearbyint(v);
-  if (r > 127.0) {
-    ++saturations;
-    return 127;
-  }
-  if (r < -128.0) {
-    ++saturations;
-    return -128;
-  }
-  return static_cast<std::int8_t>(r);
-}
 
 /// Store the valid region of one f32 accumulator tile, applying the fused
 /// activation scalar-wise — shared across levels so SIMD and portable
@@ -76,14 +62,99 @@ std::uint64_t store_tile_s8(const std::int32_t* tile, std::int8_t* c, std::int64
     const std::int32_t* row = tile + r * NR;
     const double m_mult = mult[m0 + r];
     for (std::int64_t j = 0; j < jv; ++j) {
-      std::int8_t q = requant_sat(static_cast<double>(row[j]) * m_mult, saturations);
-      if (q < q_lo) q = static_cast<std::int8_t>(q_lo);
-      if (q > q_hi) q = static_cast<std::int8_t>(q_hi);
+      const std::int8_t q =
+          requant_clamped(static_cast<double>(row[j]) * m_mult, q_lo, q_hi, saturations);
       if (col_major) {
         c[(j0 + j) * ldc + (m0 + r)] = q;
       } else {
         c[(m0 + r) * ldc + (j0 + j)] = q;
       }
+    }
+  }
+  return saturations;
+}
+
+/// Portable f32 tile: the SIMD tiles' panel walk with scalar accumulators.
+/// The product and the add are separate statements, so no compiler
+/// contracts them into an FMA; each element sees its K products in
+/// ascending k order from the bias.
+template <std::int64_t MR, std::int64_t NR>
+void gemm_f32_scalar(const float* pa, const float* pb, float* c, std::int64_t m, std::int64_t n,
+                     std::int64_t k, std::int64_t ldc, bool col_major_store,
+                     std::int64_t panel_lo, std::int64_t panel_hi, const float* bias, OpKind act,
+                     double alpha) {
+  const std::int64_t n_panels = panel_count(n, NR);
+  for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
+    const std::int64_t m0 = p * MR;
+    const std::int64_t mv = std::min<std::int64_t>(MR, m - m0);
+    const float* pa_panel = pa + p * MR * k;
+    for (std::int64_t q = 0; q < n_panels; ++q) {
+      const std::int64_t j0 = q * NR;
+      const std::int64_t jv = std::min<std::int64_t>(NR, n - j0);
+      const float* pb_panel = pb + q * NR * k;
+      float acc[MR * NR];
+      for (std::int64_t r = 0; r < MR; ++r) {
+        const float init = (bias != nullptr && r < mv) ? bias[m0 + r] : 0.0f;
+        for (std::int64_t j = 0; j < NR; ++j) acc[r * NR + j] = init;
+      }
+      for (std::int64_t kp = 0; kp < k; ++kp) {
+        const float* brow = pb_panel + kp * NR;
+        const float* arow = pa_panel + kp * MR;
+        for (std::int64_t r = 0; r < MR; ++r) {
+          const float av = arow[r];
+          for (std::int64_t j = 0; j < NR; ++j) {
+            const float prod = av * brow[j];
+            acc[r * NR + j] += prod;
+          }
+        }
+      }
+      store_tile_f32<MR, NR>(acc, c, ldc, col_major_store, m0, j0, mv, jv, act, alpha);
+    }
+  }
+}
+
+/// Portable int8 tile over the int16-pair A words and byte-interleaved B
+/// k-pairs: per k pair, lane j gains a[2kp] * b[2kp][j] + a[2kp+1] *
+/// b[2kp+1][j] in exact int32 — the arithmetic of one madd_epi16 step.
+template <std::int64_t MR, std::int64_t NR>
+std::uint64_t gemm_s8_scalar(const std::int32_t* pa, const std::int8_t* pb, std::int8_t* c,
+                             std::int64_t m, std::int64_t n, std::int64_t k, std::int64_t ldc,
+                             bool col_major_store, std::int64_t panel_lo, std::int64_t panel_hi,
+                             const std::int32_t* bias, const double* mult, std::int32_t q_lo,
+                             std::int32_t q_hi) {
+  const std::int64_t n_panels = panel_count(n, NR);
+  const std::int64_t k_pairs = (k + 1) / 2;
+  std::uint64_t saturations = 0;
+  for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
+    const std::int64_t m0 = p * MR;
+    const std::int64_t mv = std::min<std::int64_t>(MR, m - m0);
+    const std::int32_t* pa_panel = pa + p * MR * k_pairs;
+    for (std::int64_t q = 0; q < n_panels; ++q) {
+      const std::int64_t j0 = q * NR;
+      const std::int64_t jv = std::min<std::int64_t>(NR, n - j0);
+      const std::int8_t* pb_panel = pb + q * NR * 2 * k_pairs;
+      std::int32_t acc[MR * NR];
+      for (std::int64_t r = 0; r < MR; ++r) {
+        const std::int32_t init = (bias != nullptr && r < mv) ? bias[m0 + r] : 0;
+        for (std::int64_t j = 0; j < NR; ++j) acc[r * NR + j] = init;
+      }
+      for (std::int64_t kp = 0; kp < k_pairs; ++kp) {
+        // Widen the k pair's interleaved bytes once for all MR rows.
+        const std::int8_t* bpair = pb_panel + kp * NR * 2;
+        std::int16_t bw[2 * NR];
+        for (std::int64_t j = 0; j < 2 * NR; ++j) bw[j] = bpair[j];
+        const std::int32_t* arow = pa_panel + kp * MR;
+        for (std::int64_t r = 0; r < MR; ++r) {
+          const auto word = static_cast<std::uint32_t>(arow[r]);
+          const auto a0 = static_cast<std::int16_t>(word & 0xFFFFu);
+          const auto a1 = static_cast<std::int16_t>(word >> 16);
+          for (std::int64_t j = 0; j < NR; ++j) {
+            acc[r * NR + j] += a0 * bw[2 * j] + a1 * bw[2 * j + 1];
+          }
+        }
+      }
+      saturations += store_tile_s8<MR, NR>(acc, c, ldc, col_major_store, m0, j0, mv, jv, mult,
+                                           q_lo, q_hi);
     }
   }
   return saturations;
@@ -325,21 +396,25 @@ void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n, const Micro
   }
 }
 
-const GemmMicrokernels* gemm_microkernels(util::SimdLevel resolved) {
+const GemmMicrokernels& gemm_microkernels(util::SimdLevel resolved) {
+  static const GemmMicrokernels portable{
+      util::SimdLevel::kPortable, kPortableF32, kPortableS8,
+      &gemm_f32_scalar<kPortableF32.mr, kPortableF32.nr>,
+      &gemm_s8_scalar<kPortableS8.mr, kPortableS8.nr>};
 #if defined(VEDLIOT_HAVE_X86)
   static const GemmMicrokernels avx2{util::SimdLevel::kAvx2, kAvx2F32, kAvx2S8, &gemm_f32_avx2,
                                      &gemm_s8_avx2};
   if (resolved == util::SimdLevel::kAvx2 && util::simd_supported(util::SimdLevel::kAvx2)) {
-    return &avx2;
+    return avx2;
   }
 #endif
 #if defined(VEDLIOT_HAVE_NEON)
-  static const GemmMicrokernels neon{util::SimdLevel::kNeon, kNeonF32, MicrokernelTile{},
-                                     &gemm_f32_neon, nullptr};
-  if (resolved == util::SimdLevel::kNeon) return &neon;
+  static const GemmMicrokernels neon{util::SimdLevel::kNeon, kNeonF32, kPortableS8,
+                                     &gemm_f32_neon, portable.gemm_s8};
+  if (resolved == util::SimdLevel::kNeon) return neon;
 #endif
   (void)resolved;
-  return nullptr;
+  return portable;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 /// \brief Register-tiled GEMM microkernels with runtime SIMD dispatch.
 ///
 /// The blocked-GEMM recipe from *Performance Analysis of Matrix
-/// Multiplication for Deep Learning on the Edge*: the cache-blocked loop
-/// nest (kernels.hpp / executor) keeps operands resident, and the inner
+/// Multiplication for Deep Learning on the Edge*: the loop nest in the
+/// executors keeps operands resident, and the inner
 /// mr x nr tile is computed by an architecture-specific microkernel that
 /// holds the whole accumulator tile in vector registers. Both operands are
 /// repacked into panel layouts so the microkernel reads two contiguous
@@ -17,14 +17,17 @@
 /// row), B interleaves adjacent k rows byte-wise so AVX2 `madd_epi16`
 /// accumulates two k steps per instruction with exact int32 arithmetic.
 ///
+/// Every dispatch level has a full table. The portable level is one more
+/// register tile over the same packed panels: plain scalar loops the
+/// compiler may auto-vectorize, with a separate multiply and add per step.
+///
 /// Determinism contract (per dispatch level):
 ///  - every output element accumulates its K products in ascending k order
 ///    whatever the panel partition, so parallel-vs-serial runs are bitwise
 ///    identical at every level;
-///  - the int8 microkernel performs the same exact int32 arithmetic as the
-///    scalar reference (gemm_rows_s8), so its outputs are bitwise equal to
-///    portable at any K/M/N;
-///  - the f32 microkernel keeps the scalar k order but contracts each
+///  - every int8 tile performs exact int32 arithmetic, so its outputs (and
+///    saturation counts) are bitwise equal across levels at any K/M/N;
+///  - the SIMD f32 tiles keep the portable k order but contract each
 ///    multiply-add to one FMA rounding, so SIMD-vs-portable agrees to a
 ///    tight ULP bound rather than bitwise (scalar epilogues are shared, so
 ///    activation math is identical).
@@ -42,12 +45,10 @@
 
 namespace vedliot::runtime_kernels {
 
-/// Register tile of one microkernel; {0, 0} means "no microkernel at this
-/// level" (caller falls back to the portable scalar path).
+/// Register tile of one microkernel: mr rows of A by nr columns of B.
 struct MicrokernelTile {
   std::int64_t mr = 0;
   std::int64_t nr = 0;
-  bool available() const { return mr > 0 && nr > 0; }
 };
 
 inline std::int64_t panel_count(std::int64_t extent, std::int64_t tile) {
@@ -89,9 +90,10 @@ using GemmF32Fn = void (*)(const float* pa, const float* pb, float* c, std::int6
                            bool col_major_store, std::int64_t panel_lo, std::int64_t panel_hi,
                            const float* bias, OpKind act, double alpha);
 
-/// int8 variant with the gemm_rows_s8 requant epilogue; returns the
-/// requantization saturation count for the panel range (exact, so per-chunk
-/// sums are partition-independent).
+/// int8 variant with int32 accumulation from bias[m] and the
+/// requant_clamped epilogue (kernels.hpp): c = clamp(round(acc * mult[m]),
+/// q_lo, q_hi). Returns the requantization saturation count for the panel
+/// range (exact, so per-chunk sums are partition-independent).
 using GemmS8Fn = std::uint64_t (*)(const std::int32_t* pa, const std::int8_t* pb,
                                    std::int8_t* c, std::int64_t m, std::int64_t n,
                                    std::int64_t k, std::int64_t ldc, bool col_major_store,
@@ -99,8 +101,8 @@ using GemmS8Fn = std::uint64_t (*)(const std::int32_t* pa, const std::int8_t* pb
                                    const std::int32_t* bias, const double* mult,
                                    std::int32_t q_lo, std::int32_t q_hi);
 
-/// One dispatch level's kernel set. Levels may offer a subset (e.g. NEON
-/// ships f32 only); unavailable entries have a zero tile and null fn.
+/// One dispatch level's kernel set; every entry is always present (a level
+/// without its own int8 tile, such as NEON, carries the portable one).
 struct GemmMicrokernels {
   util::SimdLevel level = util::SimdLevel::kPortable;
   MicrokernelTile f32;
@@ -109,10 +111,9 @@ struct GemmMicrokernels {
   GemmS8Fn gemm_s8 = nullptr;
 };
 
-/// Microkernel table lookup for a *resolved* level (resolve_simd_level
-/// first). Returns nullptr for kPortable or when the binary has no kernels
-/// for the level — callers then use the scalar kernels in kernels.hpp.
-const GemmMicrokernels* gemm_microkernels(util::SimdLevel resolved);
+/// Microkernel table for a *resolved* level (resolve_simd_level first). A
+/// level this binary or host cannot run maps to the portable table.
+const GemmMicrokernels& gemm_microkernels(util::SimdLevel resolved);
 
 /// Measured compute roofs for the roofline model (hw/roofline.hpp): a
 /// register-resident FMA / madd chain timed for at least \p min_seconds,

@@ -13,7 +13,7 @@
 /// (different tile) repacks rather than feeding a kernel the wrong layout.
 ///
 /// Thread safety: lookups and packs run under one mutex, so concurrent
-/// inter-op waves can pack different layers safely. After insertion an entry
+/// callers can pack different layers safely. After insertion an entry
 /// is immutable for its (version, tile) lifetime, which keeps the returned
 /// references valid across the run.
 

@@ -12,31 +12,10 @@
 namespace vedliot {
 
 using runtime_kernels::Conv2dGeometry;
+using runtime_kernels::requant_clamped;
+using runtime_kernels::saturate_i8;
 
 namespace {
-
-std::int8_t saturate_i8(double v, std::uint64_t& saturations) {
-  const double r = std::nearbyint(v);
-  if (r > 127.0) {
-    ++saturations;
-    return 127;
-  }
-  if (r < -128.0) {
-    ++saturations;
-    return -128;
-  }
-  return static_cast<std::int8_t>(r);
-}
-
-/// Requantize + apply the fused clamp window; counts requant saturations
-/// only (the activation clamp is semantics, not information loss).
-std::int8_t requant_clamped(double scaled, std::int32_t q_lo, std::int32_t q_hi,
-                            std::uint64_t& saturations) {
-  std::int8_t q = saturate_i8(scaled, saturations);
-  if (q < q_lo) q = static_cast<std::int8_t>(q_lo);
-  if (q > q_hi) q = static_cast<std::int8_t>(q_hi);
-  return q;
-}
 
 double act_scale_of(const Graph& g, NodeId id) {
   const Node& n = g.node(id);
@@ -104,21 +83,7 @@ void QuantizedExecutor::prepare() {
       plan.fused_unsupported = true;  // reported when the node actually runs
       plan.fused_name = fused;
     }
-    if (n.kind == OpKind::kConv2d) {
-      const Shape& in = graph_.node(n.inputs.at(0)).out_shape;
-      Conv2dGeometry& geo = plan.conv;
-      geo.batch = n.out_shape.n();
-      geo.in_c = in.c();
-      geo.in_h = in.h();
-      geo.in_w = in.w();
-      geo.out_c = n.out_shape.c();
-      geo.out_h = n.out_shape.h();
-      geo.out_w = n.out_shape.w();
-      geo.kernel = n.attrs.get_int("kernel");
-      geo.stride = n.attrs.get_int_or("stride", 1);
-      geo.pad = n.attrs.get_int_or("pad", 0);
-      geo.groups = n.attrs.get_int_or("groups", 1);
-    }
+    if (n.kind == OpKind::kConv2d) plan.conv = Conv2dGeometry::of(graph_, n);
 
     if ((n.kind != OpKind::kConv2d && n.kind != OpKind::kDense) || n.weights.empty()) continue;
 
@@ -193,13 +158,7 @@ QTensor QuantizedExecutor::run_single(const Tensor& input) {
   // requantize and repack before serving.
   if (prepared_version_ != graph_.version()) prepare();
   active_simd_ = util::resolve_simd_level(simd_req_);
-  const runtime_kernels::GemmMicrokernels* table =
-      runtime_kernels::gemm_microkernels(active_simd_);
-  // Levels without an int8 kernel (e.g. NEON ships f32 only) fall back to
-  // the scalar reference — which is bitwise-identical anyway.
-  mk_ = (table != nullptr && table->gemm_s8 != nullptr && table->s8.available() && use_gemm_)
-            ? table
-            : nullptr;
+  mk_ = &runtime_kernels::gemm_microkernels(active_simd_);
 
   obs::ScopedSpan run_span;
   if (tracer_ != nullptr) {
@@ -279,7 +238,7 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
       const std::int8_t* px = x.data.data();
       std::int8_t* py = out.data.data();
 
-      if (use_gemm_ && geo.depthwise()) {
+      if (geo.depthwise()) {
         for (std::int64_t b = 0; b < geo.batch; ++b) {
           pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
             sat[chunk] += runtime_kernels::depthwise_s8(
@@ -287,98 +246,41 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
                 layer.mult.data(), q_lo, q_hi);
           });
         }
-      } else if (use_gemm_ && mk_ != nullptr) {
-        using namespace runtime_kernels;
-        const std::int64_t patch = geo.patch();
-        const std::int64_t cols = geo.cols();
-        const std::int64_t m = geo.ocg();
-        const std::size_t need = static_cast<std::size_t>(patch * cols);
-        if (scratch_.size() < need) scratch_.resize(need);
-        std::int8_t* col = scratch_.data();
-        const std::size_t pb_need = packed_b_s8_bytes(patch, cols, mk_->s8);
-        if (packed_b_.size() < pb_need) packed_b_.resize(pb_need);
-        for (std::int64_t b = 0; b < geo.batch; ++b) {
-          for (std::int64_t g = 0; g < geo.groups; ++g) {
-            pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-              im2col_s8(px, geo, b, g, lo, hi, col);
-            });
-            pfor(0, panel_count(cols, mk_->s8.nr), 1,
-                 [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-                   pack_b_s8(col, patch, cols, mk_->s8, lo, hi, packed_b_.data());
-                 });
-            const std::int64_t base = g * m;
-            const std::vector<std::int32_t>& pa = packed_.get_s8(
-                n.id, g, prepared_version_, mk_->s8, [&](std::vector<std::int32_t>& v) {
-                  v.resize(packed_a_s8_words(m, patch, mk_->s8));
-                  pack_a_s8(layer.weights.data() + base * patch, m, patch, mk_->s8, v.data());
-                });
-            std::int8_t* c = py + ((b * geo.out_c + base) * cols);
-            pfor(0, panel_count(m, mk_->s8.mr), 1,
-                 [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-                   sat[chunk] += mk_->gemm_s8(pa.data(), packed_b_.data(), c, m, cols, patch,
-                                              cols, /*col_major_store=*/false, lo, hi,
-                                              layer.bias.data() + base,
-                                              layer.mult.data() + base, q_lo, q_hi);
-                 });
-          }
-        }
-      } else if (use_gemm_) {
-        const std::int64_t patch = geo.patch();
-        const std::int64_t cols = geo.cols();
-        const std::size_t need = static_cast<std::size_t>(patch * cols);
-        if (scratch_.size() < need) scratch_.resize(need);
-        std::int8_t* col = scratch_.data();
-        for (std::int64_t b = 0; b < geo.batch; ++b) {
-          for (std::int64_t g = 0; g < geo.groups; ++g) {
-            pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-              runtime_kernels::im2col_s8(px, geo, b, g, lo, hi, col);
-            });
-            const std::int64_t base = g * geo.ocg();
-            const std::int8_t* a = layer.weights.data() + base * patch;
-            std::int8_t* c = py + ((b * geo.out_c + base) * cols);
-            pfor(0, geo.ocg(), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-              sat[chunk] += runtime_kernels::gemm_rows_s8(
-                  a, col, c, lo, hi, cols, patch, layer.bias.data() + base,
-                  layer.mult.data() + base, q_lo, q_hi);
-            });
-          }
-        }
-      } else {
-        // Direct reference loop, partitioned over output channels.
-        const std::int64_t icg = geo.icg(), ocg = geo.ocg(), k = geo.kernel;
-        const std::size_t per = static_cast<std::size_t>(icg * k * k);
-        for (std::int64_t b = 0; b < geo.batch; ++b) {
-          pfor(0, geo.out_c, 1, [&](std::int64_t oc_lo, std::int64_t oc_hi, std::size_t chunk) {
-            for (std::int64_t oc = oc_lo; oc < oc_hi; ++oc) {
-              const auto g = oc / ocg;
-              const double mult = layer.mult[static_cast<std::size_t>(oc)];
-              const std::int8_t* wrow = layer.weights.data() + static_cast<std::size_t>(oc) * per;
-              for (std::int64_t oh = 0; oh < geo.out_h; ++oh) {
-                for (std::int64_t ow = 0; ow < geo.out_w; ++ow) {
-                  std::int32_t acc = layer.bias[static_cast<std::size_t>(oc)];
-                  for (std::int64_t ic = 0; ic < icg; ++ic) {
-                    const auto in_c = g * icg + ic;
-                    for (std::int64_t kh = 0; kh < k; ++kh) {
-                      const auto ih = oh * geo.stride - geo.pad + kh;
-                      if (ih < 0 || ih >= geo.in_h) continue;
-                      for (std::int64_t kw = 0; kw < k; ++kw) {
-                        const auto iw = ow * geo.stride - geo.pad + kw;
-                        if (iw < 0 || iw >= geo.in_w) continue;
-                        const auto xi = static_cast<std::size_t>(
-                            ((b * geo.in_c + in_c) * geo.in_h + ih) * geo.in_w + iw);
-                        const auto wi = static_cast<std::size_t>((ic * k + kh) * k + kw);
-                        acc += static_cast<std::int32_t>(px[xi]) *
-                               static_cast<std::int32_t>(wrow[wi]);
-                      }
-                    }
-                  }
-                  const auto oi = static_cast<std::size_t>(
-                      ((b * geo.out_c + oc) * geo.out_h + oh) * geo.out_w + ow);
-                  py[oi] = requant_clamped(static_cast<double>(acc) * mult, q_lo, q_hi, sat[chunk]);
-                }
-              }
-            }
+        break;
+      }
+      using namespace runtime_kernels;
+      const GemmMicrokernels& mk = *mk_;
+      const std::int64_t patch = geo.patch();
+      const std::int64_t cols = geo.cols();
+      const std::int64_t m = geo.ocg();
+      const std::size_t need = static_cast<std::size_t>(patch * cols);
+      if (scratch_.size() < need) scratch_.resize(need);
+      std::int8_t* col = scratch_.data();
+      const std::size_t pb_need = packed_b_s8_bytes(patch, cols, mk.s8);
+      if (packed_b_.size() < pb_need) packed_b_.resize(pb_need);
+      for (std::int64_t b = 0; b < geo.batch; ++b) {
+        for (std::int64_t g = 0; g < geo.groups; ++g) {
+          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+            im2col_s8(px, geo, b, g, lo, hi, col);
           });
+          pfor(0, panel_count(cols, mk.s8.nr), 1,
+               [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+                 pack_b_s8(col, patch, cols, mk.s8, lo, hi, packed_b_.data());
+               });
+          const std::int64_t base = g * m;
+          const std::vector<std::int32_t>& pa = packed_.get_s8(
+              n.id, g, prepared_version_, mk.s8, [&](std::vector<std::int32_t>& v) {
+                v.resize(packed_a_s8_words(m, patch, mk.s8));
+                pack_a_s8(layer.weights.data() + base * patch, m, patch, mk.s8, v.data());
+              });
+          std::int8_t* c = py + ((b * geo.out_c + base) * cols);
+          pfor(0, panel_count(m, mk.s8.mr), 1,
+               [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+                 sat[chunk] += mk.gemm_s8(pa.data(), packed_b_.data(), c, m, cols, patch, cols,
+                                          /*col_major_store=*/false, lo, hi,
+                                          layer.bias.data() + base, layer.mult.data() + base,
+                                          q_lo, q_hi);
+               });
         }
       }
       break;
@@ -390,71 +292,37 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
       const Shape& in_shape = graph_.node(n.inputs[0]).out_shape;
       const auto N = in_shape.dim(0), F = in_shape.dim(1);
       const auto U = n.out_shape.dim(1);
-      if (mk_ != nullptr) {
-        // Microkernel over (m=U, n=N, k=F) with the column-major store
-        // writing the [N x U] activation layout directly — no transposed
-        // product to scatter back. int32 accumulation is exact, so these
-        // bits match the scalar paths below for any N.
-        using namespace runtime_kernels;
-        std::vector<std::int8_t> xt;
-        const std::int8_t* bsrc = x.data.data();
-        if (N > 1) {
-          xt.resize(static_cast<std::size_t>(F * N));
-          for (std::int64_t b = 0; b < N; ++b) {
-            for (std::int64_t f = 0; f < F; ++f) {
-              xt[static_cast<std::size_t>(f * N + b)] = x.data[static_cast<std::size_t>(b * F + f)];
-            }
+      // Microkernel over (m=U, n=N, k=F) with the column-major store
+      // writing the [N x U] activation layout directly — no transposed
+      // product to scatter back. A [1 x F] input is its own transpose.
+      using namespace runtime_kernels;
+      const GemmMicrokernels& mk = *mk_;
+      std::vector<std::int8_t> xt;
+      const std::int8_t* bsrc = x.data.data();
+      if (N > 1) {
+        xt.resize(static_cast<std::size_t>(F * N));
+        for (std::int64_t b = 0; b < N; ++b) {
+          for (std::int64_t f = 0; f < F; ++f) {
+            xt[static_cast<std::size_t>(f * N + b)] = x.data[static_cast<std::size_t>(b * F + f)];
           }
-          bsrc = xt.data();
         }
-        std::vector<std::int8_t> pb(packed_b_s8_bytes(F, N, mk_->s8));
-        pfor(0, panel_count(N, mk_->s8.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          pack_b_s8(bsrc, F, N, mk_->s8, lo, hi, pb.data());
-        });
-        const std::vector<std::int32_t>& pa = packed_.get_s8(
-            n.id, 0, prepared_version_, mk_->s8, [&](std::vector<std::int32_t>& v) {
-              v.resize(packed_a_s8_words(U, F, mk_->s8));
-              pack_a_s8(layer.weights.data(), U, F, mk_->s8, v.data());
-            });
-        pfor(0, panel_count(U, mk_->s8.mr), 1,
-             [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-               sat[chunk] += mk_->gemm_s8(pa.data(), pb.data(), out.data.data(), U, N, F,
-                                          /*ldc=*/U, /*col_major_store=*/true, lo, hi,
-                                          layer.bias.data(), layer.mult.data(), q_lo, q_hi);
-             });
-        break;
+        bsrc = xt.data();
       }
-      if (N == 1) {
-        // [1 x F] is its own transpose; write straight into the output row.
-        pfor(0, U, 8, [&](std::int64_t u_lo, std::int64_t u_hi, std::size_t chunk) {
-          sat[chunk] += runtime_kernels::gemm_rows_s8(layer.weights.data(), x.data.data(),
-                                                      out.data.data(), u_lo, u_hi, /*n=*/1, F,
-                                                      layer.bias.data(), layer.mult.data(),
-                                                      q_lo, q_hi);
-        });
-        break;
-      }
-      // Batched: one GEMM over all lanes (weights read once per layer, not
-      // once per sample), then scatter the [U x N] product back to the
-      // [N x U] activation layout. int32 accumulation is exact, so lane
-      // results match the per-sample path bit for bit.
-      std::vector<std::int8_t> xt(static_cast<std::size_t>(F * N));
-      for (std::int64_t b = 0; b < N; ++b) {
-        for (std::int64_t f = 0; f < F; ++f) {
-          xt[static_cast<std::size_t>(f * N + b)] = x.data[static_cast<std::size_t>(b * F + f)];
-        }
-      }
-      std::vector<std::int8_t> yt(static_cast<std::size_t>(U * N));
-      pfor(0, U, 8, [&](std::int64_t u_lo, std::int64_t u_hi, std::size_t chunk) {
-        sat[chunk] += runtime_kernels::gemm_rows_s8(layer.weights.data(), xt.data(), yt.data(),
-                                                    u_lo, u_hi, N, F, layer.bias.data(),
-                                                    layer.mult.data(), q_lo, q_hi);
+      std::vector<std::int8_t> pb(packed_b_s8_bytes(F, N, mk.s8));
+      pfor(0, panel_count(N, mk.s8.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        pack_b_s8(bsrc, F, N, mk.s8, lo, hi, pb.data());
       });
-      for (std::int64_t b = 0; b < N; ++b) {
-        for (std::int64_t u = 0; u < U; ++u) {
-          out.data[static_cast<std::size_t>(b * U + u)] = yt[static_cast<std::size_t>(u * N + b)];
-        }
-      }
+      const std::vector<std::int32_t>& pa = packed_.get_s8(
+          n.id, 0, prepared_version_, mk.s8, [&](std::vector<std::int32_t>& v) {
+            v.resize(packed_a_s8_words(U, F, mk.s8));
+            pack_a_s8(layer.weights.data(), U, F, mk.s8, v.data());
+          });
+      pfor(0, panel_count(U, mk.s8.mr), 1,
+           [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+             sat[chunk] += mk.gemm_s8(pa.data(), pb.data(), out.data.data(), U, N, F,
+                                      /*ldc=*/U, /*col_major_store=*/true, lo, hi,
+                                      layer.bias.data(), layer.mult.data(), q_lo, q_hi);
+           });
       break;
     }
 

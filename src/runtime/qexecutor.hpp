@@ -70,13 +70,9 @@ class QuantizedExecutor {
   /// output bits and saturations() are independent of this value.
   void set_threads(unsigned threads);
 
-  /// Execute Conv2D as im2col + int8 GEMM (default) or the direct loop.
-  void set_use_gemm_conv(bool on) { use_gemm_ = on; }
-
   /// Requested kernel dispatch level (default kAuto); resolved per run with
-  /// the env overrides applied. The int8 microkernel performs the exact
-  /// int32 arithmetic of the scalar reference, so outputs are bitwise
-  /// identical at every level.
+  /// the env overrides applied. Every int8 microkernel tile performs exact
+  /// int32 arithmetic, so outputs are bitwise identical at every level.
   void set_simd(util::SimdLevel level) { simd_req_ = level; }
   /// The concrete dispatch level the last run_single() executed at.
   util::SimdLevel active_simd() const { return active_simd_; }
@@ -137,12 +133,11 @@ class QuantizedExecutor {
   std::size_t nodes_executed_ = 0;
   unsigned threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
-  bool use_gemm_ = true;
   std::vector<std::int8_t> scratch_;        ///< im2col column matrix
   std::vector<std::int8_t> packed_b_;       ///< microkernel B panels
   util::SimdLevel simd_req_ = util::SimdLevel::kAuto;
   util::SimdLevel active_simd_ = util::SimdLevel::kPortable;
-  const runtime_kernels::GemmMicrokernels* mk_ = nullptr;  ///< s8-capable table or null
+  const runtime_kernels::GemmMicrokernels* mk_ = nullptr;  ///< table of the current run
   runtime_kernels::PackedWeightCache packed_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

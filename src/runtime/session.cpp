@@ -22,12 +22,9 @@ class FloatSession final : public Session {
   FloatSession(const Graph& graph, const RunOptions& options)
       : graph_(graph), options_(options), exec_(graph) {
     exec_.instrument(options_.trace, options_.metrics);
-    exec_.set_keep_activations(options_.keep_activations);
+    exec_.set_keep_activations(false);
     exec_.set_threads(options_.exec.threads);
     exec_.set_simd(options_.exec.simd);
-    exec_.set_inter_op(options_.exec.inter_op);
-    exec_.set_use_gemm_conv(options_.use_gemm_conv);
-    exec_.set_use_arena(options_.arena);
   }
 
   RunResult run(const std::map<std::string, Tensor>& feeds) override {
@@ -44,7 +41,6 @@ class FloatSession final : public Session {
     options_.exec = exec;
     exec_.set_threads(exec.threads);
     exec_.set_simd(exec.simd);
-    exec_.set_inter_op(exec.inter_op);
   }
   const ExecConfig& exec_config() const override { return options_.exec; }
 
@@ -61,7 +57,6 @@ class QuantizedSession final : public Session {
     exec_.instrument(options_.trace, options_.metrics);
     exec_.set_threads(options_.exec.threads);
     exec_.set_simd(options_.exec.simd);
-    exec_.set_use_gemm_conv(options_.use_gemm_conv);
   }
 
   RunResult run(const std::map<std::string, Tensor>& feeds) override {

@@ -35,27 +35,16 @@
 namespace vedliot::runtime {
 
 /// Per-session knobs; the sink pointers may be null and must outlive the
-/// session when set.
+/// session when set. Float sessions always place intermediate activations
+/// in the planner-packed arena and release them after each run.
 struct RunOptions {
   obs::Tracer* trace = nullptr;            ///< span sink for run/node spans
   obs::MetricsRegistry* metrics = nullptr; ///< counter/histogram sink
 
-  /// Keep intermediate activations addressable after run() (float backend
-  /// only; needed for quantization calibration). Off by default: serving
-  /// sessions should not retain a full activation set per run.
-  bool keep_activations = false;
-
-  /// Execution-resource knobs (admission batch cap + intra-op threads).
-  /// The one copy; serving-side rung caps reference the same struct.
+  /// Execution-resource knobs (admission batch cap, intra-op threads,
+  /// dispatch level). The one copy; serving-side rung caps reference the
+  /// same struct.
   ExecConfig exec = {};
-
-  /// Execute Conv2D as im2col + cache-blocked GEMM (default) or fall back
-  /// to the direct loop nest (the numerical reference / perf baseline).
-  bool use_gemm_conv = true;
-
-  /// Place intermediate activations in one planner-packed arena slab
-  /// (float backend; ignored while keep_activations is set).
-  bool arena = true;
 };
 
 /// What one Session::run produced.

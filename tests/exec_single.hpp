@@ -4,7 +4,7 @@
 ///
 /// Application code runs inference through runtime::Session; the suites
 /// that still construct an Executor directly do so to poke engine-level
-/// features (profiling, activation retention, fault-injected weights) and
+/// features (activation retention, dispatch levels, fault-injected weights) and
 /// feed it the same way the Session wrapper does.
 
 #include <utility>

@@ -224,27 +224,35 @@ TEST(Autotune, Validation) {
 }
 
 TEST(ExecutorProfile, HotspotsRankConvFirst) {
+  // Per-node time is one channel: the per-op-class histograms an
+  // instrumented executor records (what kenning::HostRuntime ranks).
   Graph g = tuned_model();
+  obs::MetricsRegistry metrics;
   Executor exec(g);
-  exec.enable_profiling();
+  exec.instrument(nullptr, &metrics);
   Rng rng(5);
   for (int i = 0; i < 3; ++i) {
     (void)testutil::exec_single(exec, g, Tensor(Shape{1, 1, 16, 16}, rng.normal_vector(256)));
   }
-  const auto hot = exec.hotspots(3);
-  ASSERT_FALSE(hot.empty());
-  EXPECT_EQ(hot.front().first, OpKind::kConv2d);  // convs dominate a CNN
-  EXPECT_EQ(hot.front().second.invocations, 9u);  // 3 convs x 3 runs
-  exec.reset_profile();
-  EXPECT_TRUE(exec.profile().empty());
+  const std::string conv = "vedliot.runtime.op.Conv2d";
+  ASSERT_TRUE(metrics.has_histogram(conv));
+  EXPECT_EQ(metrics.histograms().at(conv).total(), 9u);  // 3 convs x 3 runs
+  for (const auto& [name, hist] : metrics.histograms()) {
+    if (name.rfind("vedliot.runtime.op.", 0) != 0) continue;
+    EXPECT_LE(hist.sum(), metrics.histograms().at(conv).sum()) << name;  // convs dominate
+  }
 }
 
-TEST(ExecutorProfile, DisabledByDefault) {
+TEST(ExecutorProfile, RecordsOnlyWhileInstrumented) {
   Graph g = tuned_model();
+  obs::MetricsRegistry metrics;
   Executor exec(g);
   Rng rng(5);
   (void)testutil::exec_single(exec, g, Tensor(Shape{1, 1, 16, 16}, rng.normal_vector(256)));
-  EXPECT_TRUE(exec.profile().empty());
+  EXPECT_EQ(metrics.size(), 0u);  // nothing recorded without an attached registry
+  exec.instrument(nullptr, &metrics);
+  (void)testutil::exec_single(exec, g, Tensor(Shape{1, 1, 16, 16}, rng.normal_vector(256)));
+  EXPECT_EQ(metrics.histograms().at("vedliot.runtime.op.Conv2d").total(), 3u);
 }
 
 }  // namespace

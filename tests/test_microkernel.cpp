@@ -1,6 +1,7 @@
-// Tests for the SIMD microkernel GEMM layer: edge-tail correctness against
-// the scalar reference, the per-level determinism contract (int8 bitwise,
-// f32 tight tolerance, parallel-vs-serial bitwise, batch-lane bitwise),
+// Tests for the microkernel GEMM layer at every dispatch level the binary
+// has, portable included: edge-tail correctness against the naive reference
+// GEMMs, the per-level determinism contract (int8 bitwise, f32 tight
+// tolerance, parallel-vs-serial bitwise, batch-lane bitwise),
 // packed-weight cache lifecycle (steady-state reuse, version/tile
 // invalidation, OTA-repair self-heal), env-override dispatch, and the
 // roofline probes.
@@ -15,6 +16,7 @@
 
 #include "exec_single.hpp"
 #include "graph/zoo.hpp"
+#include "reference_kernels.hpp"
 #include "hw/roofline.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
@@ -35,6 +37,7 @@ namespace {
 using runtime_kernels::GemmMicrokernels;
 using runtime_kernels::MicrokernelTile;
 using runtime_kernels::panel_count;
+using testref::all_tables;
 
 /// Set an environment variable for one scope and restore the prior state on
 /// exit, so dispatch-override tests cannot leak into other tests.
@@ -62,23 +65,12 @@ class ScopedEnv {
   std::string old_;
 };
 
-/// The best SIMD table this binary actually has, ignoring env overrides —
-/// nullptr on a pure-portable build/host (tests then skip the SIMD half).
-const GemmMicrokernels* best_simd_table() {
-  for (auto level : {util::SimdLevel::kAvx2, util::SimdLevel::kNeon}) {
-    if (util::simd_supported(level)) {
-      if (const auto* t = runtime_kernels::gemm_microkernels(level)) return t;
-    }
-  }
-  return nullptr;
-}
+/// The best table this binary has on this host, ignoring env overrides.
+const GemmMicrokernels& best_table() { return *all_tables().back(); }
 
-/// The table the executor will actually dispatch to right now — honors the
-/// env overrides, unlike best_simd_table(). Null under a forced-portable run.
-const GemmMicrokernels* resolved_table() {
-  return runtime_kernels::gemm_microkernels(
-      util::resolve_simd_level(util::SimdLevel::kAuto));
-}
+/// Both requestable dispatch levels: kAuto resolves to best_table() unless
+/// an env override forces portable.
+const util::SimdLevel kLevels[] = {util::SimdLevel::kPortable, util::SimdLevel::kAuto};
 
 // Edge-tail grid: values straddling the register tiles (mr ∈ {4, 6},
 // nr ∈ {8, 16}) plus degenerate extents.
@@ -133,27 +125,36 @@ std::uint64_t mk_gemm_s8(const GemmMicrokernels& t, const std::int8_t* a,
 // ---------------------------------------------------------------------------
 
 TEST(Microkernel, F32EdgeTailsMatchScalarReference) {
-  const auto* t = best_simd_table();
-  if (t == nullptr || t->gemm_f32 == nullptr) GTEST_SKIP() << "no SIMD f32 microkernel";
-  std::uint64_t seed = 100;
-  for (std::int64_t m : kMs) {
-    for (std::int64_t n : kNs) {
-      for (std::int64_t k : kKs) {
-        const auto a = rand_f32(static_cast<std::size_t>(m * k), seed++);
-        const auto b = rand_f32(static_cast<std::size_t>(k * n), seed++);
-        const auto bias = rand_f32(static_cast<std::size_t>(m), seed++);
-        // Exercise the fused-activation epilogue on half the grid.
-        const OpKind act = ((m + n + k) % 2 == 0) ? OpKind::kRelu : OpKind::kIdentity;
-        std::vector<float> ref(static_cast<std::size_t>(m * n));
-        runtime_kernels::gemm_rows_f32(a.data(), b.data(), ref.data(), 0, m, n, k,
-                                       bias.data(), act, 0.0);
-        std::vector<float> got(ref.size(), -777.0f);
-        mk_gemm_f32(*t, a.data(), b.data(), got.data(), m, n, k, bias.data(), act, 0.0);
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          // FMA contraction changes rounding per product; with |a|,|b| ~ N(0,1)
-          // and K <= 65 the divergence stays far below this bound.
-          ASSERT_NEAR(got[i], ref[i], 1e-4)
-              << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+  for (const GemmMicrokernels* t : all_tables()) {
+    SCOPED_TRACE(util::simd_level_name(t->level));
+    const bool portable = t->level == util::SimdLevel::kPortable;
+    std::uint64_t seed = 100;
+    for (std::int64_t m : kMs) {
+      for (std::int64_t n : kNs) {
+        for (std::int64_t k : kKs) {
+          const auto a = rand_f32(static_cast<std::size_t>(m * k), seed++);
+          const auto b = rand_f32(static_cast<std::size_t>(k * n), seed++);
+          const auto bias = rand_f32(static_cast<std::size_t>(m), seed++);
+          // Exercise the fused-activation epilogue on half the grid.
+          const OpKind act = ((m + n + k) % 2 == 0) ? OpKind::kRelu : OpKind::kIdentity;
+          std::vector<float> ref(static_cast<std::size_t>(m * n));
+          testref::naive_gemm_f32(a.data(), b.data(), ref.data(), m, n, k, bias.data(), act,
+                                  0.0);
+          std::vector<float> got(ref.size(), -777.0f);
+          mk_gemm_f32(*t, a.data(), b.data(), got.data(), m, n, k, bias.data(), act, 0.0);
+          for (std::size_t i = 0; i < ref.size(); ++i) {
+            if (portable) {
+              // Same k order, separate multiply and add: bit for bit.
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                        std::bit_cast<std::uint32_t>(ref[i]))
+                  << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+            } else {
+              // FMA contraction changes rounding per product; with |a|,|b| ~
+              // N(0,1) and K <= 65 the divergence stays far below this bound.
+              ASSERT_NEAR(got[i], ref[i], 1e-4)
+                  << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+            }
+          }
         }
       }
     }
@@ -161,33 +162,34 @@ TEST(Microkernel, F32EdgeTailsMatchScalarReference) {
 }
 
 TEST(Microkernel, S8EdgeTailsBitwiseEqualScalarReference) {
-  const auto* t = best_simd_table();
-  if (t == nullptr || t->gemm_s8 == nullptr) GTEST_SKIP() << "no SIMD int8 microkernel";
-  std::uint64_t seed = 500;
-  for (std::int64_t m : kMs) {
-    for (std::int64_t n : kNs) {
-      for (std::int64_t k : kKs) {
-        const auto a = rand_s8(static_cast<std::size_t>(m * k), seed++);
-        const auto b = rand_s8(static_cast<std::size_t>(k * n), seed++);
-        Rng rng(seed++);
-        std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
-        std::vector<double> mult(static_cast<std::size_t>(m));
-        for (std::size_t r = 0; r < bias.size(); ++r) {
-          bias[r] = static_cast<std::int32_t>(rng.uniform(-500.0, 500.0));
-          // Multiplier chosen so a fair share of outputs saturate — the
-          // counts must match exactly, not just the clamped bytes.
-          mult[r] = rng.uniform(0.0005, 0.02);
-        }
-        const std::int32_t q_lo = ((m + n) % 2 == 0) ? 0 : -128;
-        std::vector<std::int8_t> ref(static_cast<std::size_t>(m * n));
-        const std::uint64_t sat_ref = runtime_kernels::gemm_rows_s8(
-            a.data(), b.data(), ref.data(), 0, m, n, k, bias.data(), mult.data(), q_lo, 127);
-        std::vector<std::int8_t> got(ref.size(), 99);
-        const std::uint64_t sat_got = mk_gemm_s8(*t, a.data(), b.data(), got.data(), m, n,
-                                                 k, bias.data(), mult.data(), q_lo, 127);
-        ASSERT_EQ(sat_got, sat_ref) << "m=" << m << " n=" << n << " k=" << k;
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          ASSERT_EQ(got[i], ref[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+  for (const GemmMicrokernels* t : all_tables()) {
+    SCOPED_TRACE(util::simd_level_name(t->level));
+    std::uint64_t seed = 500;
+    for (std::int64_t m : kMs) {
+      for (std::int64_t n : kNs) {
+        for (std::int64_t k : kKs) {
+          const auto a = rand_s8(static_cast<std::size_t>(m * k), seed++);
+          const auto b = rand_s8(static_cast<std::size_t>(k * n), seed++);
+          Rng rng(seed++);
+          std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
+          std::vector<double> mult(static_cast<std::size_t>(m));
+          for (std::size_t r = 0; r < bias.size(); ++r) {
+            bias[r] = static_cast<std::int32_t>(rng.uniform(-500.0, 500.0));
+            // Multiplier chosen so a fair share of outputs saturate — the
+            // counts must match exactly, not just the clamped bytes.
+            mult[r] = rng.uniform(0.0005, 0.02);
+          }
+          const std::int32_t q_lo = ((m + n) % 2 == 0) ? 0 : -128;
+          std::vector<std::int8_t> ref(static_cast<std::size_t>(m * n));
+          const std::uint64_t sat_ref = testref::naive_gemm_s8(
+              a.data(), b.data(), ref.data(), m, n, k, bias.data(), mult.data(), q_lo, 127);
+          std::vector<std::int8_t> got(ref.size(), 99);
+          const std::uint64_t sat_got = mk_gemm_s8(*t, a.data(), b.data(), got.data(), m, n,
+                                                   k, bias.data(), mult.data(), q_lo, 127);
+          ASSERT_EQ(sat_got, sat_ref) << "m=" << m << " n=" << n << " k=" << k;
+          for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(got[i], ref[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+          }
         }
       }
     }
@@ -195,38 +197,38 @@ TEST(Microkernel, S8EdgeTailsBitwiseEqualScalarReference) {
 }
 
 TEST(Microkernel, ColMajorStoreIsBitwiseTransposeOfRowMajor) {
-  const auto* t = best_simd_table();
-  if (t == nullptr) GTEST_SKIP() << "no SIMD microkernels";
-  const std::int64_t m = 7, n = 17, k = 33;
-  const auto a = rand_f32(static_cast<std::size_t>(m * k), 1);
-  const auto b = rand_f32(static_cast<std::size_t>(k * n), 2);
-  std::vector<float> row(static_cast<std::size_t>(m * n)), col(row.size());
-  mk_gemm_f32(*t, a.data(), b.data(), row.data(), m, n, k, nullptr, OpKind::kIdentity, 0.0);
-  mk_gemm_f32(*t, a.data(), b.data(), col.data(), m, n, k, nullptr, OpKind::kIdentity, 0.0,
-              /*col_major=*/true);
-  // Same arithmetic, different store address: transposed layouts are bitwise.
-  for (std::int64_t r = 0; r < m; ++r) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(row[static_cast<std::size_t>(r * n + j)]),
-                std::bit_cast<std::uint32_t>(col[static_cast<std::size_t>(j * m + r)]));
+  for (const GemmMicrokernels* t : all_tables()) {
+    SCOPED_TRACE(util::simd_level_name(t->level));
+    const std::int64_t m = 7, n = 17, k = 33;
+    const auto a = rand_f32(static_cast<std::size_t>(m * k), 1);
+    const auto b = rand_f32(static_cast<std::size_t>(k * n), 2);
+    std::vector<float> row(static_cast<std::size_t>(m * n)), col(row.size());
+    mk_gemm_f32(*t, a.data(), b.data(), row.data(), m, n, k, nullptr, OpKind::kIdentity, 0.0);
+    mk_gemm_f32(*t, a.data(), b.data(), col.data(), m, n, k, nullptr, OpKind::kIdentity, 0.0,
+                /*col_major=*/true);
+    // Same arithmetic, different store address: transposed layouts are bitwise.
+    for (std::int64_t r = 0; r < m; ++r) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(row[static_cast<std::size_t>(r * n + j)]),
+                  std::bit_cast<std::uint32_t>(col[static_cast<std::size_t>(j * m + r)]));
+      }
     }
-  }
 
-  if (t->gemm_s8 == nullptr) return;
-  const auto a8 = rand_s8(static_cast<std::size_t>(m * k), 3);
-  const auto b8 = rand_s8(static_cast<std::size_t>(k * n), 4);
-  std::vector<std::int32_t> bias(static_cast<std::size_t>(m), 11);
-  std::vector<double> mult(static_cast<std::size_t>(m), 0.003);
-  std::vector<std::int8_t> row8(static_cast<std::size_t>(m * n)), col8(row8.size());
-  const auto s1 = mk_gemm_s8(*t, a8.data(), b8.data(), row8.data(), m, n, k, bias.data(),
-                             mult.data(), -128, 127);
-  const auto s2 = mk_gemm_s8(*t, a8.data(), b8.data(), col8.data(), m, n, k, bias.data(),
-                             mult.data(), -128, 127, /*col_major=*/true);
-  EXPECT_EQ(s1, s2);
-  for (std::int64_t r = 0; r < m; ++r) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      ASSERT_EQ(row8[static_cast<std::size_t>(r * n + j)],
-                col8[static_cast<std::size_t>(j * m + r)]);
+    const auto a8 = rand_s8(static_cast<std::size_t>(m * k), 3);
+    const auto b8 = rand_s8(static_cast<std::size_t>(k * n), 4);
+    std::vector<std::int32_t> bias(static_cast<std::size_t>(m), 11);
+    std::vector<double> mult(static_cast<std::size_t>(m), 0.003);
+    std::vector<std::int8_t> row8(static_cast<std::size_t>(m * n)), col8(row8.size());
+    const auto s1 = mk_gemm_s8(*t, a8.data(), b8.data(), row8.data(), m, n, k, bias.data(),
+                               mult.data(), -128, 127);
+    const auto s2 = mk_gemm_s8(*t, a8.data(), b8.data(), col8.data(), m, n, k, bias.data(),
+                               mult.data(), -128, 127, /*col_major=*/true);
+    EXPECT_EQ(s1, s2);
+    for (std::int64_t r = 0; r < m; ++r) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        ASSERT_EQ(row8[static_cast<std::size_t>(r * n + j)],
+                  col8[static_cast<std::size_t>(j * m + r)]);
+      }
     }
   }
 }
@@ -235,31 +237,32 @@ TEST(Microkernel, PanelPartitionIsBitwiseInvariant) {
   // The pfor over row panels may split anywhere; every split must produce
   // the same bits as one full-range call (the parallel-vs-serial contract
   // at the microkernel layer).
-  const auto* t = best_simd_table();
-  if (t == nullptr) GTEST_SKIP() << "no SIMD microkernels";
-  const std::int64_t m = 13, n = 33, k = 65;
-  const auto a = rand_f32(static_cast<std::size_t>(m * k), 10);
-  const auto b = rand_f32(static_cast<std::size_t>(k * n), 11);
+  for (const GemmMicrokernels* t : all_tables()) {
+    SCOPED_TRACE(util::simd_level_name(t->level));
+    const std::int64_t m = 13, n = 33, k = 65;
+    const auto a = rand_f32(static_cast<std::size_t>(m * k), 10);
+    const auto b = rand_f32(static_cast<std::size_t>(k * n), 11);
 
-  std::vector<float> pa(runtime_kernels::packed_a_f32_elems(m, k, t->f32));
-  std::vector<float> pb(runtime_kernels::packed_b_f32_elems(k, n, t->f32));
-  runtime_kernels::pack_a_f32(a.data(), m, k, t->f32, pa.data());
-  runtime_kernels::pack_b_f32(b.data(), k, n, t->f32, 0, panel_count(n, t->f32.nr),
-                              pb.data());
-  const std::int64_t panels = panel_count(m, t->f32.mr);
-  std::vector<float> whole(static_cast<std::size_t>(m * n));
-  t->gemm_f32(pa.data(), pb.data(), whole.data(), m, n, k, n, false, 0, panels, nullptr,
-              OpKind::kIdentity, 0.0);
-  for (std::int64_t split = 1; split < panels; ++split) {
-    std::vector<float> parts(whole.size(), -1.0f);
-    t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, 0, split, nullptr,
+    std::vector<float> pa(runtime_kernels::packed_a_f32_elems(m, k, t->f32));
+    std::vector<float> pb(runtime_kernels::packed_b_f32_elems(k, n, t->f32));
+    runtime_kernels::pack_a_f32(a.data(), m, k, t->f32, pa.data());
+    runtime_kernels::pack_b_f32(b.data(), k, n, t->f32, 0, panel_count(n, t->f32.nr),
+                                pb.data());
+    const std::int64_t panels = panel_count(m, t->f32.mr);
+    std::vector<float> whole(static_cast<std::size_t>(m * n));
+    t->gemm_f32(pa.data(), pb.data(), whole.data(), m, n, k, n, false, 0, panels, nullptr,
                 OpKind::kIdentity, 0.0);
-    t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, split, panels,
-                nullptr, OpKind::kIdentity, 0.0);
-    for (std::size_t i = 0; i < whole.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(parts[i]),
-                std::bit_cast<std::uint32_t>(whole[i]))
-          << "split=" << split << " i=" << i;
+    for (std::int64_t split = 1; split < panels; ++split) {
+      std::vector<float> parts(whole.size(), -1.0f);
+      t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, 0, split, nullptr,
+                  OpKind::kIdentity, 0.0);
+      t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, split, panels,
+                  nullptr, OpKind::kIdentity, 0.0);
+      for (std::size_t i = 0; i < whole.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(parts[i]),
+                  std::bit_cast<std::uint32_t>(whole[i]))
+            << "split=" << split << " i=" << i;
+      }
     }
   }
 }
@@ -278,12 +281,7 @@ TEST(Dispatch, ForcePortableZeroIsOff) {
   ScopedEnv force("VEDLIOT_FORCE_PORTABLE", "0");
   const auto resolved = util::resolve_simd_level(util::SimdLevel::kAuto);
   // "0" disables the kill switch: kAuto resolves to the host's best level.
-  const auto* t = best_simd_table();
-  if (t != nullptr) {
-    EXPECT_EQ(resolved, t->level);
-  } else {
-    EXPECT_EQ(resolved, util::SimdLevel::kPortable);
-  }
+  EXPECT_EQ(resolved, best_table().level);
 }
 
 TEST(Dispatch, SimdEnvSelectsLevel) {
@@ -307,8 +305,18 @@ TEST(Dispatch, SimdEnvSelectsLevel) {
   }
 }
 
-TEST(Dispatch, PortableLevelHasNoTable) {
-  EXPECT_EQ(runtime_kernels::gemm_microkernels(util::SimdLevel::kPortable), nullptr);
+TEST(Dispatch, PortableLevelHasFullTable) {
+  const GemmMicrokernels& t = runtime_kernels::gemm_microkernels(util::SimdLevel::kPortable);
+  EXPECT_EQ(t.level, util::SimdLevel::kPortable);
+  EXPECT_NE(t.gemm_f32, nullptr);
+  EXPECT_NE(t.gemm_s8, nullptr);
+  EXPECT_GT(t.f32.mr * t.f32.nr, 0);
+  EXPECT_GT(t.s8.mr * t.s8.nr, 0);
+  // Every level's table is full, so no executor ever needs a fallback path.
+  for (const GemmMicrokernels* level : all_tables()) {
+    EXPECT_NE(level->gemm_f32, nullptr) << util::simd_level_name(level->level);
+    EXPECT_NE(level->gemm_s8, nullptr) << util::simd_level_name(level->level);
+  }
 }
 
 TEST(Dispatch, ExecutorReportsActiveLevel) {
@@ -325,8 +333,7 @@ TEST(Dispatch, ExecutorReportsActiveLevel) {
 
   exec.set_simd(util::SimdLevel::kAuto);
   (void)testutil::exec_single(exec, g, in);
-  const auto* t = best_simd_table();
-  EXPECT_EQ(exec.active_simd(), t != nullptr ? t->level : util::SimdLevel::kPortable);
+  EXPECT_EQ(exec.active_simd(), best_table().level);
 
   // The kill switch overrides the per-run resolution too.
   ScopedEnv force("VEDLIOT_FORCE_PORTABLE", "1");  // shadows `off` until scope end
@@ -482,70 +489,37 @@ TEST(Determinism, Int8ParallelVsSerialBitwiseAtSimdLevel) {
   EXPECT_EQ(serial.saturations(), parallel.saturations());
 }
 
-/// Two independent conv branches joined by an add: the shape inter-op wave
-/// scheduling parallelizes.
-Graph branchy_graph(std::int64_t batch = 1) {
-  Graph g("branchy");
-  const NodeId in = g.add_input("x", Shape{batch, 4, 8, 8});
-  auto conv = [](std::int64_t oc) {
-    AttrMap a;
-    a.set_int("out_channels", oc);
-    a.set_int("kernel", 3);
-    a.set_int("stride", 1);
-    a.set_int("pad", 1);
-    a.set_int("groups", 1);
-    a.set_int("bias", 1);
-    return a;
-  };
-  const NodeId left = g.add(OpKind::kConv2d, "left", {in}, conv(8));
-  const NodeId right = g.add(OpKind::kConv2d, "right", {in}, conv(8));
-  const NodeId sum = g.add(OpKind::kAdd, "sum", {left, right});
-  const NodeId relu = g.add(OpKind::kRelu, "relu", {sum});
-  const NodeId flat = g.add(OpKind::kFlatten, "flat", {relu});
-  AttrMap d;
-  d.set_int("units", 6);
-  d.set_int("bias", 1);
-  g.add(OpKind::kDense, "head", {flat}, std::move(d));
-  return g;
-}
-
-TEST(Determinism, InterOpWavesBitwiseVsSerial) {
-  Graph g = branchy_graph();
-  Rng rng(41);
-  g.materialize_weights(rng);
-  const Tensor in(Shape{1, 4, 8, 8}, rand_f32(256, 92));
-  for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
-    Executor serial(g);
-    serial.set_simd(level);
-    const Tensor a = testutil::exec_single(serial, g, in);
-    Executor waves(g);
-    waves.set_simd(level);
-    waves.set_inter_op(2);
-    const Tensor b = testutil::exec_single(waves, g, in);
-    EXPECT_FLOAT_EQ(max_abs_diff(a, b), 0.0f) << util::simd_level_name(level);
-  }
-}
-
-TEST(Determinism, BatchLanesBitwiseEqualAtSimdLevel) {
+TEST(Determinism, BatchLanesBitwiseEqualSingletonAtEveryLevel) {
   // Zero-padded panel tails mean every lane of a batched dense executes the
-  // identical FMA sequence: 8 copies of one sample must produce 8 bitwise
-  // identical output rows (the fleet CRC contract at SIMD dispatch).
+  // identical multiply-add sequence: 8 copies of one sample must produce 8
+  // output rows bitwise equal to the same sample run alone (the fleet CRC
+  // contract) at the portable and the SIMD level.
   Graph g = zoo::micro_mlp("m", 8, 16, {24, 12}, 4);
   Rng rng(51);
   g.materialize_weights(rng);
+  Graph g1 = zoo::micro_mlp("m", 1, 16, {24, 12}, 4);
+  Rng rng1(51);
+  g1.materialize_weights(rng1);
   const auto one = rand_f32(16, 93);
   std::vector<float> stacked;
   for (int i = 0; i < 8; ++i) stacked.insert(stacked.end(), one.begin(), one.end());
-  Executor exec(g);
-  exec.set_simd(util::SimdLevel::kAuto);
-  const Tensor out = testutil::exec_single(exec, g, Tensor(Shape{8, 16}, stacked));
-  const auto d = out.data();
-  const std::size_t row = static_cast<std::size_t>(out.shape().dim(1));
-  for (std::size_t lane = 1; lane < 8; ++lane) {
-    for (std::size_t j = 0; j < row; ++j) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(d[lane * row + j]),
-                std::bit_cast<std::uint32_t>(d[j]))
-          << "lane=" << lane << " j=" << j;
+  for (auto level : kLevels) {
+    Executor exec(g);
+    exec.set_simd(level);
+    const Tensor out = testutil::exec_single(exec, g, Tensor(Shape{8, 16}, stacked));
+    Executor single(g1);
+    single.set_simd(level);
+    const Tensor alone = testutil::exec_single(single, g1, Tensor(Shape{1, 16}, one));
+    const auto d = out.data();
+    const auto s1 = alone.data();
+    const std::size_t row = static_cast<std::size_t>(out.shape().dim(1));
+    ASSERT_EQ(s1.size(), row);
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+      for (std::size_t j = 0; j < row; ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(d[lane * row + j]),
+                  std::bit_cast<std::uint32_t>(s1[j]))
+            << util::simd_level_name(level) << " lane=" << lane << " j=" << j;
+      }
     }
   }
 }
@@ -579,19 +553,21 @@ TEST(PackedWeightCache, SteadyStateReusesAndInvalidatesOnVersionOrTile) {
 }
 
 TEST(PackedWeightCache, ExecutorReusesPacksAcrossRuns) {
-  const auto* t = resolved_table();
-  if (t == nullptr) GTEST_SKIP() << "no SIMD microkernels at the resolved level";
   Graph g = conv_variants_graph();
   Rng rng(61);
   g.materialize_weights(rng);
   const Tensor in(Shape{1, 4, 10, 10}, rand_f32(400, 94));
-  Executor exec(g);
-  (void)testutil::exec_single(exec, g, in);
-  const std::size_t after_first = exec.weight_packs();
-  EXPECT_GT(after_first, 0u);
-  (void)testutil::exec_single(exec, g, in);
-  (void)testutil::exec_single(exec, g, in);
-  EXPECT_EQ(exec.weight_packs(), after_first);  // steady state: cache hits only
+  for (auto level : kLevels) {
+    SCOPED_TRACE(util::simd_level_name(level));
+    Executor exec(g);
+    exec.set_simd(level);
+    (void)testutil::exec_single(exec, g, in);
+    const std::size_t after_first = exec.weight_packs();
+    EXPECT_GT(after_first, 0u);
+    (void)testutil::exec_single(exec, g, in);
+    (void)testutil::exec_single(exec, g, in);
+    EXPECT_EQ(exec.weight_packs(), after_first);  // steady state: cache hits only
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -612,58 +588,64 @@ void flip_weight_bit(Graph& g) {
 }
 
 TEST(SelfHeal, F32RepairInvalidatesPackedPanels) {
-  const auto* t = resolved_table();
-  if (t == nullptr) GTEST_SKIP() << "no SIMD microkernels at the resolved level";
-  Graph live = conv_variants_graph();
-  Rng rng(71);
-  live.materialize_weights(rng);
-  safety::ModelStore store;
-  store.install("net", live);
-  const Tensor in(Shape{1, 4, 10, 10}, rand_f32(400, 95));
+  for (auto level : kLevels) {
+    SCOPED_TRACE(util::simd_level_name(level));
+    Graph live = conv_variants_graph();
+    Rng rng(71);
+    live.materialize_weights(rng);
+    safety::ModelStore store;
+    store.install("net", live);
+    const Tensor in(Shape{1, 4, 10, 10}, rand_f32(400, 95));
 
-  Executor exec(live);
-  const Tensor clean = testutil::exec_single(exec, live, in);
-  const std::size_t packs0 = exec.weight_packs();
+    Executor exec(live);
+    exec.set_simd(level);
+    const Tensor clean = testutil::exec_single(exec, live, in);
+    const std::size_t packs0 = exec.weight_packs();
 
-  safety::WeightScrubber scrub(live, {64});  // baselines the clean bits
-  flip_weight_bit(live);
-  (void)testutil::exec_single(exec, live, in);  // runs on corrupt weights
-  EXPECT_GT(exec.weight_packs(), packs0);       // version bump → repack
+    safety::WeightScrubber scrub(live, {64});  // baselines the clean bits
+    flip_weight_bit(live);
+    (void)testutil::exec_single(exec, live, in);  // runs on corrupt weights
+    EXPECT_GT(exec.weight_packs(), packs0);       // version bump → repack
 
-  const auto hits = scrub.full_scan();
-  ASSERT_FALSE(hits.empty());
-  EXPECT_GE(store.repair("net", live, hits), 1u);
+    const auto hits = scrub.full_scan();
+    ASSERT_FALSE(hits.empty());
+    EXPECT_GE(store.repair("net", live, hits), 1u);
 
-  const Tensor healed = testutil::exec_single(exec, live, in);
-  // Healed weights + invalidated panels: output is bitwise the clean run.
-  EXPECT_FLOAT_EQ(max_abs_diff(healed, clean), 0.0f);
+    const Tensor healed = testutil::exec_single(exec, live, in);
+    // Healed weights + invalidated panels: output is bitwise the clean run.
+    EXPECT_FLOAT_EQ(max_abs_diff(healed, clean), 0.0f);
+  }
 }
 
 TEST(SelfHeal, Int8RepairTriggersRepreparationAndBitwiseCleanRerun) {
   const Shape in_shape{1, 4, 10, 10};
-  Graph live = deploy_ready_q(conv_variants_graph(), 81, in_shape);
-  safety::ModelStore store;
-  store.install("net", live);
-  const Tensor in(in_shape, rand_f32(400, 96));
+  for (auto level : kLevels) {
+    SCOPED_TRACE(util::simd_level_name(level));
+    Graph live = deploy_ready_q(conv_variants_graph(), 81, in_shape);
+    safety::ModelStore store;
+    store.install("net", live);
+    const Tensor in(in_shape, rand_f32(400, 96));
 
-  QuantizedExecutor exec(live);
-  EXPECT_EQ(exec.preparations(), 1u);
-  const QTensor clean = exec.run_single(in);
+    QuantizedExecutor exec(live);
+    exec.set_simd(level);
+    EXPECT_EQ(exec.preparations(), 1u);
+    const QTensor clean = exec.run_single(in);
 
-  safety::WeightScrubber scrub(live, {64});  // baselines the clean bits
-  flip_weight_bit(live);
-  (void)exec.run_single(in);  // self-heal re-quantizes from the corrupt bits
-  EXPECT_EQ(exec.preparations(), 2u);
+    safety::WeightScrubber scrub(live, {64});  // baselines the clean bits
+    flip_weight_bit(live);
+    (void)exec.run_single(in);  // self-heal re-quantizes from the corrupt bits
+    EXPECT_EQ(exec.preparations(), 2u);
 
-  const auto hits = scrub.full_scan();
-  ASSERT_FALSE(hits.empty());
-  EXPECT_GE(store.repair("net", live, hits), 1u);
+    const auto hits = scrub.full_scan();
+    ASSERT_FALSE(hits.empty());
+    EXPECT_GE(store.repair("net", live, hits), 1u);
 
-  const QTensor healed = exec.run_single(in);
-  EXPECT_EQ(exec.preparations(), 3u);  // repair touched the graph again
-  ASSERT_EQ(healed.data.size(), clean.data.size());
-  for (std::size_t i = 0; i < clean.data.size(); ++i) {
-    ASSERT_EQ(healed.data[i], clean.data[i]);
+    const QTensor healed = exec.run_single(in);
+    EXPECT_EQ(exec.preparations(), 3u);  // repair touched the graph again
+    ASSERT_EQ(healed.data.size(), clean.data.size());
+    for (std::size_t i = 0; i < clean.data.size(); ++i) {
+      ASSERT_EQ(healed.data[i], clean.data[i]);
+    }
   }
 }
 

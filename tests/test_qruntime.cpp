@@ -10,6 +10,7 @@
 #include "graph/zoo.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
+#include "reference_kernels.hpp"
 #include "runtime/qexecutor.hpp"
 #include "runtime/session.hpp"
 #include "util/rng.hpp"
@@ -238,23 +239,93 @@ TEST(QuantizedExecutor, ResNet50ParallelBitwiseIdenticalToSerial) {
   EXPECT_EQ(serial.saturations(), mt.saturations());
 }
 
+/// The int8 conv route of QuantizedExecutor at one dispatch table: the
+/// direct depthwise kernel, or im2col + packed panels + the table's GEMM
+/// tile per (batch, group). Returns the saturation count.
+std::uint64_t route_conv_s8(const runtime_kernels::GemmMicrokernels& mk,
+                            const runtime_kernels::Conv2dGeometry& geo, const std::int8_t* x,
+                            const std::int8_t* w, const std::int32_t* bias, const double* mult,
+                            std::int32_t q_lo, std::int32_t q_hi, std::int8_t* y) {
+  using namespace runtime_kernels;
+  std::uint64_t sat = 0;
+  if (geo.depthwise()) {
+    for (std::int64_t b = 0; b < geo.batch; ++b) {
+      sat += depthwise_s8(x, w, bias, y, geo, b, 0, geo.out_c, mult, q_lo, q_hi);
+    }
+    return sat;
+  }
+  const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
+  std::vector<std::int8_t> col(static_cast<std::size_t>(patch * cols));
+  std::vector<std::int8_t> pb(packed_b_s8_bytes(patch, cols, mk.s8));
+  std::vector<std::int32_t> pa(packed_a_s8_words(m, patch, mk.s8));
+  for (std::int64_t b = 0; b < geo.batch; ++b) {
+    for (std::int64_t g = 0; g < geo.groups; ++g) {
+      im2col_s8(x, geo, b, g, 0, patch, col.data());
+      pack_b_s8(col.data(), patch, cols, mk.s8, 0, panel_count(cols, mk.s8.nr), pb.data());
+      pack_a_s8(w + g * m * patch, m, patch, mk.s8, pa.data());
+      sat += mk.gemm_s8(pa.data(), pb.data(), y + (b * geo.out_c + g * m) * cols, m, cols, patch,
+                        cols, /*col_major_store=*/false, 0, panel_count(m, mk.s8.mr),
+                        bias + g * m, mult + g * m, q_lo, q_hi);
+    }
+  }
+  return sat;
+}
+
 TEST(QuantizedExecutor, GemmConvBitwiseMatchesDirectConv) {
-  // Unlike the float path, int8 GEMM accumulates in int32 along exactly the
-  // (ic, kh, kw) order of the direct loop: integer addition is associative,
-  // so the two paths must agree bit for bit.
-  Graph g = deploy_ready(zoo::micro_cnn("q8", 1, 3, 16, 5), 43, Shape{1, 3, 16, 16});
-  Rng data_rng(44);
-  Tensor x(Shape{1, 3, 16, 16}, data_rng.normal_vector(3 * 16 * 16));
-
-  QuantizedExecutor gemm(g);
-  gemm.set_use_gemm_conv(true);
-  QuantizedExecutor direct(g);
-  direct.set_use_gemm_conv(false);
-
-  const QTensor a = gemm.run_single(x);
-  const QTensor b = direct.run_single(x);
-  EXPECT_EQ(a.data, b.data);
-  EXPECT_EQ(gemm.saturations(), direct.saturations());
+  // Unlike the float path, int8 GEMM accumulates in int32: integer addition
+  // is associative, so the im2col + microkernel route must agree with the
+  // direct loop bit for bit, saturation counts included, over a geometry
+  // grid covering kernel size, stride, padding and groups, at every
+  // dispatch level this binary has.
+  struct Case {
+    std::int64_t in_c, out_c, kernel, stride, pad, groups;
+  };
+  const Case cases[] = {
+      {3, 8, 3, 1, 1, 1}, {3, 8, 3, 2, 1, 1}, {4, 6, 1, 1, 0, 1}, {4, 6, 1, 2, 0, 1},
+      {8, 8, 3, 1, 0, 2}, {8, 4, 5, 2, 2, 4}, {6, 6, 3, 1, 1, 6}, {6, 6, 3, 2, 1, 6},
+      {5, 7, 7, 2, 3, 1},
+  };
+  Rng rng(43);
+  const auto rand_s8 = [&](std::int64_t n) {
+    std::vector<std::int8_t> v(static_cast<std::size_t>(n));
+    for (auto& e : v) e = static_cast<std::int8_t>(static_cast<int>(rng.uniform(-128.0, 128.0)));
+    return v;
+  };
+  for (const Case& c : cases) {
+    runtime_kernels::Conv2dGeometry geo;
+    geo.batch = 2;
+    geo.in_c = c.in_c;
+    geo.in_h = 11;
+    geo.in_w = 9;
+    geo.out_c = c.out_c;
+    geo.kernel = c.kernel;
+    geo.stride = c.stride;
+    geo.pad = c.pad;
+    geo.groups = c.groups;
+    geo.out_h = (geo.in_h + 2 * c.pad - c.kernel) / c.stride + 1;
+    geo.out_w = (geo.in_w + 2 * c.pad - c.kernel) / c.stride + 1;
+    const auto x = rand_s8(geo.batch * geo.in_c * geo.in_h * geo.in_w);
+    const auto w = rand_s8(geo.out_c * geo.patch());
+    std::vector<std::int32_t> bias(static_cast<std::size_t>(geo.out_c));
+    std::vector<double> mult(bias.size());
+    for (std::size_t i = 0; i < bias.size(); ++i) {
+      bias[i] = static_cast<std::int32_t>(rng.uniform(-500.0, 500.0));
+      mult[i] = rng.uniform(0.0005, 0.01);  // a fair share of outputs saturate
+    }
+    const std::int32_t q_lo = c.kernel == 3 ? 0 : -128;  // fused Relu on half the grid
+    const std::size_t out_elems = static_cast<std::size_t>(geo.batch * geo.out_c * geo.cols());
+    std::vector<std::int8_t> ref(out_elems);
+    const std::uint64_t sat_ref = testref::direct_conv_s8(x.data(), w.data(), bias.data(),
+                                                          ref.data(), geo, mult.data(), q_lo, 127);
+    for (const auto* t : testref::all_tables()) {
+      std::vector<std::int8_t> got(out_elems, 99);
+      const std::uint64_t sat = route_conv_s8(*t, geo, x.data(), w.data(), bias.data(),
+                                              mult.data(), q_lo, 127, got.data());
+      EXPECT_EQ(got, ref) << util::simd_level_name(t->level) << " k=" << c.kernel
+                          << " s=" << c.stride << " p=" << c.pad << " groups=" << c.groups;
+      EXPECT_EQ(sat, sat_ref) << util::simd_level_name(t->level);
+    }
+  }
 }
 
 TEST(QuantizedSession, ThreadsOptionPreservesOutputs) {

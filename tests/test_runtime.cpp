@@ -7,6 +7,7 @@
 
 #include "graph/cost.hpp"
 #include "graph/zoo.hpp"
+#include "reference_kernels.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/session.hpp"
@@ -408,18 +409,6 @@ runtime::RunOptions with_threads(unsigned threads) {
   return o;
 }
 
-runtime::RunOptions with_gemm(bool use_gemm_conv) {
-  runtime::RunOptions o;
-  o.use_gemm_conv = use_gemm_conv;
-  return o;
-}
-
-runtime::RunOptions with_arena(bool arena, unsigned threads = 1) {
-  runtime::RunOptions o;
-  o.arena = arena;
-  o.exec.threads = threads;
-  return o;
-}
 
 TEST(ExecutionEngine, ResNet50ParallelBitwiseIdenticalToSerial) {
   Graph g = zoo::resnet50(/*batch=*/1, /*classes=*/10, /*image=*/32);
@@ -448,32 +437,67 @@ TEST(ExecutionEngine, MobileNetV3ParallelBitwiseIdenticalToSerial) {
 }
 
 TEST(ExecutionEngine, GemmConvMatchesDirectConv) {
-  // GEMM accumulates in float along the same k-order the direct loop walks,
-  // but the direct reference accumulates in double: close, not bitwise.
-  Graph g = zoo::resnet50(1, 10, 32);
-  Rng rng(25);
-  g.materialize_weights(rng);
-  Rng data_rng(26);
-  Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
+  // The im2col + microkernel route (depthwise: the direct depthwise kernel)
+  // against the direct loop nest over a geometry grid covering kernel size,
+  // stride, padding, groups and the fused epilogue, at the portable and the
+  // SIMD level. The GEMM accumulates in float along the k-order the direct
+  // loop walks, but the direct reference accumulates in double: close, not
+  // bitwise.
+  struct Case {
+    std::int64_t in_c, out_c, kernel, stride, pad, groups;
+    const char* act;
+  };
+  const Case cases[] = {
+      {3, 8, 3, 1, 1, 1, ""},     {3, 8, 3, 2, 1, 1, "Relu"}, {4, 6, 1, 1, 0, 1, ""},
+      {4, 6, 1, 2, 0, 1, "Relu6"}, {8, 8, 3, 1, 0, 2, ""},    {8, 4, 5, 2, 2, 4, "HSwish"},
+      {6, 6, 3, 1, 1, 6, "Relu"},  {6, 6, 3, 2, 1, 6, ""},    {5, 7, 7, 2, 3, 1, ""},
+  };
+  std::uint64_t seed = 25;
+  for (const Case& c : cases) {
+    Graph g("conv");
+    const NodeId in = g.add_input("x", Shape{2, c.in_c, 11, 9});
+    AttrMap a = conv_attrs(c.out_c, c.kernel, c.stride, c.pad, c.groups);
+    if (*c.act != '\0') a.set_str("fused_act", c.act);
+    const NodeId conv = g.add(OpKind::kConv2d, "conv", {in}, std::move(a));
+    Rng rng(seed++);
+    g.materialize_weights(rng);
+    Rng data_rng(seed++);
+    const Tensor x(Shape{2, c.in_c, 11, 9}, data_rng.normal_vector(2 * c.in_c * 11 * 9));
 
-  const Tensor gemm = run_with_options(g, x, with_gemm(true));
-  const Tensor direct = run_with_options(g, x, with_gemm(false));
-  EXPECT_LT(max_abs_diff(gemm, direct), 1e-3f);
+    const Node& n = g.node(conv);
+    const auto geo = runtime_kernels::Conv2dGeometry::of(g, n);
+    Tensor direct(n.out_shape);
+    testref::direct_conv_f32(x.data().data(), n.weights[0].data().data(),
+                             n.weights[1].data().data(), direct.data().data(), geo,
+                             *c.act != '\0' ? parse_op(c.act) : OpKind::kIdentity, 0.01);
+    for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
+      runtime::RunOptions o;
+      o.exec.simd = level;
+      const Tensor gemm = run_with_options(g, x, o);
+      EXPECT_LT(max_abs_diff(gemm, direct), 1e-4f)
+          << util::simd_level_name(level) << " k=" << c.kernel << " s=" << c.stride
+          << " p=" << c.pad << " groups=" << c.groups;
+    }
+  }
 }
 
 TEST(ExecutionEngine, ArenaOutputBitwiseIdenticalToHeap) {
   // Residual graphs are the aliasing stress case: a skip tensor must not be
-  // overwritten while the main branch still reads it.
+  // overwritten while the main branch still reads it. The heap reference is
+  // an executor in calibration mode (every activation an owned tensor).
   Graph g = zoo::resnet50(1, 10, 32);
   Rng rng(27);
   g.materialize_weights(rng);
   Rng data_rng(28);
   Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
 
-  const Tensor heap = run_with_options(g, x, with_arena(false));
-  const Tensor arena = run_with_options(g, x, with_arena(true));
+  Executor heap_exec(g);
+  heap_exec.set_keep_activations(true);
+  const Tensor heap = exec_single(heap_exec, g, x);
+  EXPECT_FALSE(heap_exec.arena_stats().active);
+  const Tensor arena = run_with_options(g, x, with_threads(1));
   expect_bitwise_equal(heap, arena);
-  const Tensor arena_mt = run_with_options(g, x, with_arena(true, 4));
+  const Tensor arena_mt = run_with_options(g, x, with_threads(4));
   expect_bitwise_equal(heap, arena_mt);
 }
 
@@ -486,7 +510,6 @@ TEST(ExecutionEngine, ArenaHalvesResNet50ActivationFootprint) {
 
   Executor exec(g);
   exec.set_keep_activations(false);
-  exec.set_use_arena(true);
   (void)exec_single(exec, g, x);
   const Executor::ArenaStats& stats = exec.arena_stats();
   ASSERT_TRUE(stats.active);
@@ -505,7 +528,6 @@ TEST(ExecutionEngine, ArenaDisabledWhileKeepingActivations) {
 
   Executor exec(g);
   exec.set_keep_activations(true);  // calibration mode: stable owned tensors
-  exec.set_use_arena(true);
   (void)exec_single(exec, g, x);
   EXPECT_FALSE(exec.arena_stats().active);
   EXPECT_NO_THROW((void)exec.activation(g.node(g.topo_order()[1]).name));
