@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 
 #include "bench_common.hpp"
 #include "graph/cost.hpp"
@@ -36,6 +37,9 @@ struct SweepPoint {
   double speedup_vs_portable = 1;///< vs portable t1, same dtype and batch
   double achieved = 0;           ///< GFLOP/s (f32) or int8 GOP/s, end-to-end
   double roof_fraction = 0;      ///< achieved / (per-thread roof * usable threads)
+  /// Batch > 1 only: batch-1 seconds over this point's seconds per lane,
+  /// same dtype, dispatch level and threads (0 = not applicable).
+  double lane_speedup_vs_batch1 = 0;
 };
 
 double median_run_seconds(runtime::Session& session, const std::string& feed,
@@ -79,15 +83,27 @@ void engine_sweep() {
       "\nExecution engine: ResNet-50 (image %lld), dispatch level x threads:\n\n",
       static_cast<long long>(kImage));
   Table t({"dtype", "batch", "simd", "threads", "median run", "vs portable", "GF/s",
-           "roofline"});
+           "roofline", "lane vs b1"});
   std::vector<SweepPoint> points;
+  // Batch-1 seconds per (dtype, simd, threads): the batch-8 points' per-lane
+  // reference.
+  std::map<std::string, double> batch1_seconds;
+  const auto key = [](const SweepPoint& p) {
+    return p.dtype + "/" + p.simd + "/" + std::to_string(p.threads);
+  };
 
-  const auto add_row = [&](const SweepPoint& p) {
+  const auto add_row = [&](SweepPoint p) {
+    if (p.measured && p.batch == 1) batch1_seconds[key(p)] = p.seconds;
+    if (p.measured && p.batch > 1 && batch1_seconds.count(key(p)) > 0) {
+      p.lane_speedup_vs_batch1 =
+          batch1_seconds[key(p)] / (p.seconds / static_cast<double>(p.batch));
+    }
     t.add_row({p.dtype, std::to_string(p.batch), p.simd, std::to_string(p.threads),
                p.measured ? fmt_fixed(p.seconds * 1e3, 1) + " ms" : "unmeasured",
                p.measured ? fmt_ratio(p.speedup_vs_portable) : "-",
                p.measured ? fmt_fixed(p.achieved, 2) : "-",
-               p.measured ? fmt_fixed(p.roof_fraction * 100.0, 1) + "%" : "-"});
+               p.measured ? fmt_fixed(p.roof_fraction * 100.0, 1) + "%" : "-",
+               p.lane_speedup_vs_batch1 > 0 ? fmt_ratio(p.lane_speedup_vs_batch1) : "-"});
     points.push_back(p);
   };
 
@@ -96,59 +112,16 @@ void engine_sweep() {
       util::simd_level_name(util::resolve_simd_level(util::SimdLevel::kAuto))};
 
   for (std::int64_t batch : {std::int64_t{1}, std::int64_t{8}}) {
+    // One deployment graph for both dtypes, so the f32 and int8 rows
+    // compare the same model: BN folded, activations fused, and calibrated
+    // (the f32 executor ignores the scales).
     Graph g = zoo::resnet50(batch, 10, kImage);
     Rng rng(7);
     g.materialize_weights(rng);
-    const std::string feed = g.node(g.inputs().front()).name;
-    Rng data_rng(8);
-    Tensor x(Shape{batch, 3, kImage, kImage},
-             data_rng.normal_vector(static_cast<std::size_t>(batch * 3 * kImage * kImage)));
-    const double f32_flops = 2.0 * static_cast<double>(graph_cost(g).macs);
-
-    // Portable dispatch: the scalar microkernel tiles, one thread — the
-    // reference every SIMD point is a speedup over.
-    SweepPoint f32_portable{"f32", batch, portable_name, 1};
-    {
-      runtime::RunOptions o;
-      o.exec.threads = 1;
-      o.exec.simd = util::SimdLevel::kPortable;
-      auto s = runtime::make_session(g, o);
-      f32_portable.seconds = median_run_seconds(*s, feed, x, kRepeats);
-    }
-    f32_portable.achieved = f32_flops / f32_portable.seconds / 1e9;
-    f32_portable.roof_fraction =
-        f32_portable.achieved / roof_for("f32", portable_name, 1);
-    add_row(f32_portable);
-
-    for (unsigned threads : {1u, 2u, 4u}) {
-      SweepPoint p{"f32", batch, simd_name, threads};
-      if (threads > hw_threads) {
-        // A point this host cannot time honestly: more workers than cores
-        // just interleave on one core. Record it as unmeasured rather than
-        // publishing a fake scaling number.
-        p.measured = false;
-        add_row(p);
-        continue;
-      }
-      runtime::RunOptions o;
-      o.exec.threads = threads;
-      auto s = runtime::make_session(g, o);
-      p.seconds = median_run_seconds(*s, feed, x, kRepeats);
-      p.speedup_vs_portable = f32_portable.seconds / p.seconds;
-      p.achieved = f32_flops / p.seconds / 1e9;
-      p.roof_fraction = p.achieved / roof_for("f32", p.simd, threads);
-      add_row(p);
-    }
-
-    // INT8 deployment path: BN folded, activations fused and calibrated,
-    // true-integer kernels. Same model and input as the f32 rows.
-    Graph q = zoo::resnet50(batch, 10, kImage);
-    Rng qrng(7);
-    q.materialize_weights(qrng);
     opt::FuseBatchNormPass bn;
-    bn.run(q);
+    bn.run(g);
     opt::FuseActivationPass act;
-    act.run(q);
+    act.run(g);
     std::vector<Tensor> calib;
     Rng calib_rng(9);
     for (int i = 0; i < 2; ++i) {
@@ -156,43 +129,56 @@ void engine_sweep() {
                          calib_rng.normal_vector(
                              static_cast<std::size_t>(batch * 3 * kImage * kImage)));
     }
-    opt::calibrate_activations(q, calib, Calibration::kMinMax);
-    const double s8_ops = 2.0 * static_cast<double>(graph_cost(q).macs);
+    opt::calibrate_activations(g, calib, Calibration::kMinMax);
+    const std::string feed = g.node(g.inputs().front()).name;
+    Rng data_rng(8);
+    Tensor x(Shape{batch, 3, kImage, kImage},
+             data_rng.normal_vector(static_cast<std::size_t>(batch * 3 * kImage * kImage)));
+    const double ops = 2.0 * static_cast<double>(graph_cost(g).macs);
 
-    SweepPoint s8_portable{"int8", batch, portable_name, 1};
-    {
-      runtime::RunOptions o;
-      o.exec.threads = 1;
-      o.exec.simd = util::SimdLevel::kPortable;
-      auto s = runtime::make_quantized_session(q, o);
-      s8_portable.seconds = median_run_seconds(*s, feed, x, kRepeats);
-    }
-    s8_portable.achieved = s8_ops / s8_portable.seconds / 1e9;
-    s8_portable.roof_fraction =
-        s8_portable.achieved / roof_for("int8", portable_name, 1);
-    add_row(s8_portable);
-
-    for (unsigned threads : {1u, 2u, 4u}) {
-      SweepPoint p{"int8", batch, simd_name, threads};
-      if (threads > hw_threads) {
-        p.measured = false;
-        add_row(p);
-        continue;
+    for (const std::string dtype : {"f32", "int8"}) {
+      const auto make = dtype == "f32" ? &runtime::make_session
+                                       : &runtime::make_quantized_session;
+      // Portable dispatch: the scalar microkernel tiles, one thread — the
+      // reference every SIMD point is a speedup over.
+      SweepPoint portable{dtype, batch, portable_name, 1};
+      {
+        runtime::RunOptions o;
+        o.exec.threads = 1;
+        o.exec.simd = util::SimdLevel::kPortable;
+        auto s = make(g, o);
+        portable.seconds = median_run_seconds(*s, feed, x, kRepeats);
       }
-      runtime::RunOptions o;
-      o.exec.threads = threads;
-      auto s = runtime::make_quantized_session(q, o);
-      p.seconds = median_run_seconds(*s, feed, x, kRepeats);
-      p.speedup_vs_portable = s8_portable.seconds / p.seconds;
-      p.achieved = s8_ops / p.seconds / 1e9;
-      p.roof_fraction = p.achieved / roof_for("int8", p.simd, threads);
-      add_row(p);
+      portable.achieved = ops / portable.seconds / 1e9;
+      portable.roof_fraction = portable.achieved / roof_for(dtype, portable_name, 1);
+      add_row(portable);
+
+      for (unsigned threads : {1u, 2u, 4u}) {
+        SweepPoint p{dtype, batch, simd_name, threads};
+        if (threads > hw_threads) {
+          // A point this host cannot time honestly: more workers than cores
+          // just interleave on one core. Record it as unmeasured rather than
+          // publishing a fake scaling number.
+          p.measured = false;
+          add_row(p);
+          continue;
+        }
+        runtime::RunOptions o;
+        o.exec.threads = threads;
+        auto s = make(g, o);
+        p.seconds = median_run_seconds(*s, feed, x, kRepeats);
+        p.speedup_vs_portable = portable.seconds / p.seconds;
+        p.achieved = ops / p.seconds / 1e9;
+        p.roof_fraction = p.achieved / roof_for(dtype, p.simd, threads);
+        add_row(p);
+      }
     }
   }
   t.print(std::cout);
   bench::note("GF/s is end-to-end model flops (int8: integer ops) over wall-clock;");
   bench::note("roofline is the measured per-level register-FMA roof of this host;");
-  bench::note("thread points beyond hardware_concurrency are recorded unmeasured.");
+  bench::note("thread points beyond hardware_concurrency are recorded unmeasured;");
+  bench::note("lane vs b1 is batch-1 time over batch-8 time per lane (same dtype/simd/threads).");
 
   if (const char* path = std::getenv("VEDLIOT_BENCH_RUNTIME_JSON")) {
     std::FILE* f = std::fopen(path, "w");
@@ -205,6 +191,7 @@ void engine_sweep() {
                  kRepeats);
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw_threads);
     std::fprintf(f, "  \"baseline\": \"portable dispatch, threads=1\",\n");
+    std::fprintf(f, "  \"graph\": \"BN folded, activations fused, calibrated (f32 and int8)\",\n");
     std::fprintf(f,
                  "  \"roofline\": {\"portable_f32_gflops\": %s, \"portable_s8_gops\": %s, "
                  "\"%s_f32_gflops\": %s, \"%s_s8_gops\": %s},\n",
@@ -221,12 +208,17 @@ void engine_sweep() {
                      "\"simd\": \"%s\", \"threads\": %u, \"hardware_concurrency\": %u, "
                      "\"unmeasured\": false, \"median_seconds\": %s, "
                      "\"achieved_gflops\": %s, \"fraction_of_roofline\": %s, "
-                     "\"speedup_vs_portable\": %s}%s\n",
+                     "\"speedup_vs_portable\": %s%s}%s\n",
                      p.dtype.c_str(), static_cast<long long>(p.batch), p.simd.c_str(),
                      p.threads, hw_threads, obs::json_number(p.seconds).c_str(),
                      obs::json_number(p.achieved).c_str(),
                      obs::json_number(p.roof_fraction).c_str(),
                      obs::json_number(p.speedup_vs_portable).c_str(),
+                     p.lane_speedup_vs_batch1 > 0
+                         ? (", \"lane_speedup_vs_batch1\": " +
+                            obs::json_number(p.lane_speedup_vs_batch1))
+                               .c_str()
+                         : "",
                      i + 1 < points.size() ? "," : "");
       } else {
         std::fprintf(f,

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Regenerate BENCH_runtime.json — the checked-in execution-engine baseline
 # (ResNet-50 sweep over dtype {f32,int8} x batch {1,8} x dispatch
-# {portable,SIMD} x threads {1,2,4}, with achieved GFLOPS and
-# fraction-of-roofline against the measured per-level host roof; thread
-# points beyond hardware_concurrency are recorded unmeasured).
+# {portable,SIMD} x threads {1,2,4}, both dtypes on the same BN-folded,
+# activation-fused graph, with achieved GFLOPS and fraction-of-roofline
+# against the measured per-level host roof, and each batch-8 point's
+# per-lane speedup over batch 1; thread points beyond
+# hardware_concurrency are recorded unmeasured).
 #
 # Usage: scripts/bench_runtime.sh [build-dir]
 set -euo pipefail

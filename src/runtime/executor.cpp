@@ -225,45 +225,41 @@ void Executor::conv2d(const Node& n, const NodePlan& plan, const Tensor& in, Ten
   if (geo.depthwise()) {
     // Direct at every dispatch level: the k*k dot per pixel has no GEMM
     // shape, so portable and SIMD runs share these exact bits.
-    for (std::int64_t b = 0; b < geo.batch; ++b) {
-      pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        depthwise_f32(x, w, bias, y, geo, b, lo, hi, plan.fused_act, plan.fused_alpha);
-      });
-    }
+    pfor(0, geo.batch * geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+      depthwise_f32(x, w, bias, y, geo, lo, hi, plan.fused_act, plan.fused_alpha);
+    });
   } else {
+    // One im2col + GEMM per group over the batch-folded N = B·cols
+    // (kernels.hpp); at B = 1 the folded block is the NCHW slice itself.
     const GemmMicrokernels& mk = *mk_;
-    const std::int64_t patch = geo.patch();
-    const std::int64_t cols = geo.cols();
-    const std::size_t need = static_cast<std::size_t>(patch * cols);
-    if (scratch_.size() < need) scratch_.resize(need);
-    float* col = scratch_.data();
-    const std::int64_t m = geo.ocg();
-    const std::size_t pb_need = packed_b_f32_elems(patch, cols, mk.f32);
-    if (packed_b_.size() < pb_need) packed_b_.resize(pb_need);
-    const std::int64_t b_panels = panel_count(cols, mk.f32.nr);
-    const std::int64_t a_panels = panel_count(m, mk.f32.mr);
-    for (std::int64_t b = 0; b < geo.batch; ++b) {
-      for (std::int64_t g = 0; g < geo.groups; ++g) {
-        pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          im2col_f32(x, geo, b, g, lo, hi, col);
-        });
-        pfor(0, b_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          pack_b_f32(col, patch, cols, mk.f32, lo, hi, packed_b_.data());
-        });
-        const float* a = w + g * m * patch;
-        const std::vector<float>& pa =
-            packed_.get_f32(n.id, g, graph_.version(), mk.f32, [&](std::vector<float>& v) {
-              v.resize(packed_a_f32_elems(m, patch, mk.f32));
-              pack_a_f32(a, m, patch, mk.f32, v.data());
-            });
-        const float* gbias = bias != nullptr ? bias + g * m : nullptr;
-        float* c = y + ((b * geo.out_c + g * m) * cols);
-        pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          mk.gemm_f32(pa.data(), packed_b_.data(), c, m, cols, patch, cols,
-                      /*col_major_store=*/false, lo, hi, gbias, plan.fused_act,
-                      plan.fused_alpha);
-        });
-      }
+    const std::int64_t patch = geo.patch(), m = geo.ocg(), cols = geo.cols();
+    const std::int64_t n_cols = geo.batch * cols;
+    grow(scratch_, static_cast<std::size_t>(patch * n_cols));
+    grow(packed_b_, packed_b_f32_elems(patch, n_cols, mk.f32));
+    if (geo.batch > 1) grow(folded_, static_cast<std::size_t>(m * n_cols));
+    for (std::int64_t g = 0; g < geo.groups; ++g) {
+      pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        im2col_f32(x, geo, g, lo, hi, scratch_.data());
+      });
+      pfor(0, panel_count(n_cols, mk.f32.nr), 1,
+           [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+             pack_b_f32(scratch_.data(), patch, n_cols, mk.f32, lo, hi, packed_b_.data());
+           });
+      const std::vector<float>& pa =
+          packed_.get_f32(n.id, g, graph_.version(), mk.f32, [&](std::vector<float>& v) {
+            v.resize(packed_a_f32_elems(m, patch, mk.f32));
+            pack_a_f32(w + g * m * patch, m, patch, mk.f32, v.data());
+          });
+      const float* gbias = bias != nullptr ? bias + g * m : nullptr;
+      float* c = geo.batch > 1 ? folded_.data() : y + g * m * cols;
+      pfor(0, panel_count(m, mk.f32.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        mk.gemm_f32(pa.data(), packed_b_.data(), c, m, n_cols, patch, n_cols,
+                    /*col_major_store=*/false, lo, hi, gbias, plan.fused_act, plan.fused_alpha);
+      });
+      if (geo.batch == 1) continue;
+      pfor(0, geo.batch * m, 16, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        unfold_output(folded_.data(), geo, g, lo, hi, y);
+      });
     }
   }
 
@@ -290,29 +286,26 @@ void Executor::execute_node(const Node& n, const NodePlan& plan,
       const std::int64_t F = in.shape().dim(1);
       const std::int64_t U = n.out_shape.dim(1);
       const auto t0 = std::chrono::steady_clock::now();
-      // Batch the whole layer through one GEMM so each weight row is read
-      // once for all lanes, instead of one latency-bound dot product per
-      // sample. A [1 x F] input is its own transpose, so the singleton path
-      // skips the packing copy entirely.
-      std::vector<float> xt;
+      // One GEMM for all lanes over (m=U, n=N, k=F); a [1 x F] input is its
+      // own transpose, so the singleton path skips the transposing copy.
+      using namespace runtime_kernels;
       const float* xin = x;
       if (N > 1) {
-        xt.resize(static_cast<std::size_t>(N * F));
+        grow(scratch_, static_cast<std::size_t>(N * F));
         for (std::int64_t b = 0; b < N; ++b) {
-          for (std::int64_t f = 0; f < F; ++f) xt[static_cast<std::size_t>(f * N + b)] = x[b * F + f];
+          for (std::int64_t f = 0; f < F; ++f) {
+            scratch_[static_cast<std::size_t>(f * N + b)] = x[b * F + f];
+          }
         }
-        xin = xt.data();
+        xin = scratch_.data();
       }
-      // Microkernel over (m=U, n=N, k=F) with the column-major store
-      // writing straight into the [N x U] activation layout. Every lane
-      // occupies one slot of a tile padded to full width, so its
-      // multiply-add sequence — and therefore its bits — is the same
-      // whether it runs in a batch-1 or a batch-8 panel.
-      using namespace runtime_kernels;
+      // The column-major store writes the [N x U] layout directly. Every
+      // lane occupies one slot of a zero-padded tile, so its bits are the
+      // same in a batch-1 or a batch-8 panel.
       const GemmMicrokernels& mk = *mk_;
-      std::vector<float> pb(packed_b_f32_elems(F, N, mk.f32));
+      grow(packed_b_, packed_b_f32_elems(F, N, mk.f32));
       pfor(0, panel_count(N, mk.f32.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        pack_b_f32(xin, F, N, mk.f32, lo, hi, pb.data());
+        pack_b_f32(xin, F, N, mk.f32, lo, hi, packed_b_.data());
       });
       const std::vector<float>& pa =
           packed_.get_f32(n.id, 0, graph_.version(), mk.f32, [&](std::vector<float>& v) {
@@ -320,8 +313,8 @@ void Executor::execute_node(const Node& n, const NodePlan& plan,
             pack_a_f32(w, U, F, mk.f32, v.data());
           });
       pfor(0, panel_count(U, mk.f32.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        mk.gemm_f32(pa.data(), pb.data(), y, U, N, F, /*ldc=*/U, /*col_major_store=*/true, lo,
-                    hi, bias, plan.fused_act, plan.fused_alpha);
+        mk.gemm_f32(pa.data(), packed_b_.data(), y, U, N, F, /*ldc=*/U, /*col_major_store=*/true,
+                    lo, hi, bias, plan.fused_act, plan.fused_alpha);
       });
       const auto t1 = std::chrono::steady_clock::now();
       record_gemm(std::chrono::duration<double>(t1 - t0).count(),

@@ -7,10 +7,11 @@
 /// interpreter:
 ///
 ///  - Conv2D runs as im2col + the dispatch level's GEMM microkernel
-///    (microkernel.hpp) with a fused bias+activation epilogue; depthwise
-///    convolutions run the direct depthwise kernel (kernels.hpp). Dense runs
-///    the same microkernel. Every dispatch level, portable included, has
-///    one such route per op.
+///    (microkernel.hpp) with a fused bias+activation epilogue, one GEMM per
+///    group with the batch folded into N (kernels.hpp); depthwise
+///    convolutions run the direct depthwise kernel over (sample, channel).
+///    Dense runs the same microkernel. Every dispatch level, portable
+///    included, has one such route per op.
 ///  - Conv/Dense/BatchNorm/pool/elementwise kernels partition their output
 ///    rows/channels over a util::ThreadPool. Accumulation order within each
 ///    output element is fixed, so results are bitwise identical for any
@@ -144,8 +145,9 @@ class Executor {
   std::vector<float> arena_;  ///< one slab; node buffers are planner offsets
   std::map<NodeId, std::size_t> arena_offset_;  ///< float offset into arena_
   ArenaStats arena_stats_;
-  std::vector<float> scratch_;  ///< im2col column matrix, grown on demand
+  std::vector<float> scratch_;   ///< folded im2col matrix / transposed dense input
   std::vector<float> packed_b_;  ///< microkernel B panels, grown on demand
+  std::vector<float> folded_;    ///< batch > 1 folded conv output, before NCHW scatter
 
   // Runtime SIMD dispatch: requested level, the level the current run
   // resolved to, and that level's microkernel table.

@@ -50,22 +50,24 @@ double Conv2dGeometry::macs() const {
 namespace {
 
 /// Shared im2col: one packed row per (ic, kh, kw) patch tap, one column per
-/// output pixel. Interior kh rows are contiguous memcpy-able runs when
-/// stride == 1; the generic path below is simple strided loads with zero
-/// fill at the borders (correct for every stride/pad combination).
+/// output pixel of each sample (sample b's pixels are column block b).
+/// Interior kh rows are contiguous memcpy-able runs when stride == 1; the
+/// generic path below is simple strided loads with zero fill at the borders
+/// (correct for every stride/pad combination).
 template <typename T>
-void im2col_rows(const T* in, const Conv2dGeometry& g, std::int64_t b, std::int64_t group,
-                 std::int64_t row_lo, std::int64_t row_hi, T* col) {
+void im2col_rows(const T* in, const Conv2dGeometry& g, std::int64_t group, std::int64_t row_lo,
+                 std::int64_t row_hi, T* col) {
   const std::int64_t icg = g.icg(), k = g.kernel, OH = g.out_h, OW = g.out_w;
   const std::int64_t IH = g.in_h, IW = g.in_w;
   const std::int64_t cols = g.cols();
-  for (std::int64_t row = row_lo; row < row_hi; ++row) {
+  for (std::int64_t rb = row_lo * g.batch; rb < row_hi * g.batch; ++rb) {
+    const std::int64_t row = rb / g.batch, b = rb % g.batch;
     const std::int64_t ic = row / (k * k);
     const std::int64_t kh = (row / k) % k;
     const std::int64_t kw = row % k;
     const std::int64_t in_c = group * icg + ic;
     const T* plane = in + ((b * g.in_c + in_c) * IH) * IW;
-    T* dst = col + row * cols;
+    T* dst = col + rb * cols;
     for (std::int64_t oh = 0; oh < OH; ++oh) {
       const std::int64_t ih = oh * g.stride - g.pad + kh;
       if (ih < 0 || ih >= IH) {
@@ -100,24 +102,25 @@ void im2col_rows(const T* in, const Conv2dGeometry& g, std::int64_t b, std::int6
 
 }  // namespace
 
-void im2col_f32(const float* in, const Conv2dGeometry& g, std::int64_t b, std::int64_t group,
+void im2col_f32(const float* in, const Conv2dGeometry& g, std::int64_t group,
                 std::int64_t row_lo, std::int64_t row_hi, float* col) {
-  im2col_rows(in, g, b, group, row_lo, row_hi, col);
+  im2col_rows(in, g, group, row_lo, row_hi, col);
 }
 
-void im2col_s8(const std::int8_t* in, const Conv2dGeometry& g, std::int64_t b,
-               std::int64_t group, std::int64_t row_lo, std::int64_t row_hi, std::int8_t* col) {
-  im2col_rows(in, g, b, group, row_lo, row_hi, col);
+void im2col_s8(const std::int8_t* in, const Conv2dGeometry& g, std::int64_t group,
+               std::int64_t row_lo, std::int64_t row_hi, std::int8_t* col) {
+  im2col_rows(in, g, group, row_lo, row_hi, col);
 }
 
 void depthwise_f32(const float* in, const float* w, const float* bias, float* out,
-                   const Conv2dGeometry& g, std::int64_t b, std::int64_t c_lo,
-                   std::int64_t c_hi, OpKind act, double alpha) {
+                   const Conv2dGeometry& g, std::int64_t bc_lo, std::int64_t bc_hi, OpKind act,
+                   double alpha) {
   const std::int64_t k = g.kernel, IH = g.in_h, IW = g.in_w, OH = g.out_h, OW = g.out_w;
-  for (std::int64_t c = c_lo; c < c_hi; ++c) {
-    const float* plane = in + ((b * g.in_c + c) * IH) * IW;
+  for (std::int64_t bc = bc_lo; bc < bc_hi; ++bc) {
+    const std::int64_t c = bc % g.out_c;
+    const float* plane = in + bc * IH * IW;
     const float* wc = w + c * k * k;
-    float* oplane = out + ((b * g.out_c + c) * OH) * OW;
+    float* oplane = out + bc * OH * OW;
     const float init = bias != nullptr ? bias[c] : 0.0f;
     for (std::int64_t oh = 0; oh < OH; ++oh) {
       for (std::int64_t ow = 0; ow < OW; ++ow) {
@@ -138,15 +141,16 @@ void depthwise_f32(const float* in, const float* w, const float* bias, float* ou
 }
 
 std::uint64_t depthwise_s8(const std::int8_t* in, const std::int8_t* w, const std::int32_t* bias,
-                           std::int8_t* out, const Conv2dGeometry& g, std::int64_t b,
-                           std::int64_t c_lo, std::int64_t c_hi, const double* mult,
-                           std::int32_t q_lo, std::int32_t q_hi) {
+                           std::int8_t* out, const Conv2dGeometry& g, std::int64_t bc_lo,
+                           std::int64_t bc_hi, const double* mult, std::int32_t q_lo,
+                           std::int32_t q_hi) {
   const std::int64_t k = g.kernel, IH = g.in_h, IW = g.in_w, OH = g.out_h, OW = g.out_w;
   std::uint64_t saturations = 0;
-  for (std::int64_t c = c_lo; c < c_hi; ++c) {
-    const std::int8_t* plane = in + ((b * g.in_c + c) * IH) * IW;
+  for (std::int64_t bc = bc_lo; bc < bc_hi; ++bc) {
+    const std::int64_t c = bc % g.out_c;
+    const std::int8_t* plane = in + bc * IH * IW;
     const std::int8_t* wc = w + c * k * k;
-    std::int8_t* oplane = out + ((b * g.out_c + c) * OH) * OW;
+    std::int8_t* oplane = out + bc * OH * OW;
     const std::int32_t init = bias != nullptr ? bias[c] : 0;
     const double m_mult = mult[c];
     for (std::int64_t oh = 0; oh < OH; ++oh) {

@@ -36,7 +36,11 @@
 /// and the epilogue stores only the valid region, so every lane — including
 /// a batch-1 dense column — executes the identical instruction sequence.
 /// That is what keeps a lane of a batched run bitwise equal to the same
-/// sample run alone (the PR 7 fleet contract) at SIMD levels too.
+/// sample run alone (the fleet CRC contract) at SIMD levels too. Conv
+/// folds the batch into N (kernels.hpp), so one tile may hold columns of
+/// several samples, at other slots than at batch 1; tile lanes never mix
+/// and each column's op sequence is the same in every slot, so the
+/// contract holds for folded conv as well.
 
 #include <cstdint>
 

@@ -84,6 +84,17 @@ void QuantizedExecutor::prepare() {
       plan.fused_name = fused;
     }
     if (n.kind == OpKind::kConv2d) plan.conv = Conv2dGeometry::of(graph_, n);
+    if (n.kind == OpKind::kRelu || n.kind == OpKind::kRelu6 || n.kind == OpKind::kIdentity ||
+        n.kind == OpKind::kFlatten) {
+      // Per-element requantization of execute_node, for every input byte.
+      const double rescale = out_scale_.at(n.inputs.at(0)) / so;
+      for (int u = 0; u < 256; ++u) {
+        std::uint64_t s = 0;
+        plan.lut[static_cast<std::size_t>(u)] = requant_clamped(
+            static_cast<double>(static_cast<std::int8_t>(u)) * rescale, plan.q_lo, plan.q_hi, s);
+        plan.lut_sat[static_cast<std::size_t>(u)] = static_cast<std::uint8_t>(s);
+      }
+    }
 
     if ((n.kind != OpKind::kConv2d && n.kind != OpKind::kDense) || n.weights.empty()) continue;
 
@@ -239,49 +250,49 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
       std::int8_t* py = out.data.data();
 
       if (geo.depthwise()) {
-        for (std::int64_t b = 0; b < geo.batch; ++b) {
-          pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-            sat[chunk] += runtime_kernels::depthwise_s8(
-                px, layer.weights.data(), layer.bias.data(), py, geo, b, lo, hi,
-                layer.mult.data(), q_lo, q_hi);
-          });
-        }
+        pfor(0, geo.batch * geo.out_c, 1,
+             [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+               sat[chunk] += runtime_kernels::depthwise_s8(
+                   px, layer.weights.data(), layer.bias.data(), py, geo, lo, hi,
+                   layer.mult.data(), q_lo, q_hi);
+             });
         break;
       }
+      // One im2col + GEMM per group over the batch-folded N = B·cols
+      // (kernels.hpp); at B = 1 the folded block is the NCHW slice itself.
       using namespace runtime_kernels;
       const GemmMicrokernels& mk = *mk_;
-      const std::int64_t patch = geo.patch();
-      const std::int64_t cols = geo.cols();
-      const std::int64_t m = geo.ocg();
-      const std::size_t need = static_cast<std::size_t>(patch * cols);
-      if (scratch_.size() < need) scratch_.resize(need);
-      std::int8_t* col = scratch_.data();
-      const std::size_t pb_need = packed_b_s8_bytes(patch, cols, mk.s8);
-      if (packed_b_.size() < pb_need) packed_b_.resize(pb_need);
-      for (std::int64_t b = 0; b < geo.batch; ++b) {
-        for (std::int64_t g = 0; g < geo.groups; ++g) {
-          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            im2col_s8(px, geo, b, g, lo, hi, col);
-          });
-          pfor(0, panel_count(cols, mk.s8.nr), 1,
-               [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-                 pack_b_s8(col, patch, cols, mk.s8, lo, hi, packed_b_.data());
-               });
-          const std::int64_t base = g * m;
-          const std::vector<std::int32_t>& pa = packed_.get_s8(
-              n.id, g, prepared_version_, mk.s8, [&](std::vector<std::int32_t>& v) {
-                v.resize(packed_a_s8_words(m, patch, mk.s8));
-                pack_a_s8(layer.weights.data() + base * patch, m, patch, mk.s8, v.data());
-              });
-          std::int8_t* c = py + ((b * geo.out_c + base) * cols);
-          pfor(0, panel_count(m, mk.s8.mr), 1,
-               [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-                 sat[chunk] += mk.gemm_s8(pa.data(), packed_b_.data(), c, m, cols, patch, cols,
-                                          /*col_major_store=*/false, lo, hi,
-                                          layer.bias.data() + base, layer.mult.data() + base,
-                                          q_lo, q_hi);
-               });
-        }
+      const std::int64_t patch = geo.patch(), m = geo.ocg(), cols = geo.cols();
+      const std::int64_t n_cols = geo.batch * cols;
+      grow(scratch_, static_cast<std::size_t>(patch * n_cols));
+      grow(packed_b_, packed_b_s8_bytes(patch, n_cols, mk.s8));
+      if (geo.batch > 1) grow(folded_, static_cast<std::size_t>(m * n_cols));
+      for (std::int64_t g = 0; g < geo.groups; ++g) {
+        pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          im2col_s8(px, geo, g, lo, hi, scratch_.data());
+        });
+        pfor(0, panel_count(n_cols, mk.s8.nr), 1,
+             [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+               pack_b_s8(scratch_.data(), patch, n_cols, mk.s8, lo, hi, packed_b_.data());
+             });
+        const std::int64_t base = g * m;
+        const std::vector<std::int32_t>& pa = packed_.get_s8(
+            n.id, g, prepared_version_, mk.s8, [&](std::vector<std::int32_t>& v) {
+              v.resize(packed_a_s8_words(m, patch, mk.s8));
+              pack_a_s8(layer.weights.data() + base * patch, m, patch, mk.s8, v.data());
+            });
+        std::int8_t* c = geo.batch > 1 ? folded_.data() : py + base * cols;
+        pfor(0, panel_count(m, mk.s8.mr), 1,
+             [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+               sat[chunk] += mk.gemm_s8(pa.data(), packed_b_.data(), c, m, n_cols, patch, n_cols,
+                                        /*col_major_store=*/false, lo, hi,
+                                        layer.bias.data() + base, layer.mult.data() + base, q_lo,
+                                        q_hi);
+             });
+        if (geo.batch == 1) continue;
+        pfor(0, geo.batch * m, 16, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          unfold_output(folded_.data(), geo, g, lo, hi, py);
+        });
       }
       break;
     }
@@ -297,20 +308,19 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
       // product to scatter back. A [1 x F] input is its own transpose.
       using namespace runtime_kernels;
       const GemmMicrokernels& mk = *mk_;
-      std::vector<std::int8_t> xt;
       const std::int8_t* bsrc = x.data.data();
       if (N > 1) {
-        xt.resize(static_cast<std::size_t>(F * N));
+        grow(scratch_, static_cast<std::size_t>(F * N));
         for (std::int64_t b = 0; b < N; ++b) {
           for (std::int64_t f = 0; f < F; ++f) {
-            xt[static_cast<std::size_t>(f * N + b)] = x.data[static_cast<std::size_t>(b * F + f)];
+            scratch_[static_cast<std::size_t>(f * N + b)] = bsrc[b * F + f];
           }
         }
-        bsrc = xt.data();
+        bsrc = scratch_.data();
       }
-      std::vector<std::int8_t> pb(packed_b_s8_bytes(F, N, mk.s8));
+      grow(packed_b_, packed_b_s8_bytes(F, N, mk.s8));
       pfor(0, panel_count(N, mk.s8.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        pack_b_s8(bsrc, F, N, mk.s8, lo, hi, pb.data());
+        pack_b_s8(bsrc, F, N, mk.s8, lo, hi, packed_b_.data());
       });
       const std::vector<std::int32_t>& pa = packed_.get_s8(
           n.id, 0, prepared_version_, mk.s8, [&](std::vector<std::int32_t>& v) {
@@ -319,7 +329,7 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
           });
       pfor(0, panel_count(U, mk.s8.mr), 1,
            [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-             sat[chunk] += mk.gemm_s8(pa.data(), pb.data(), out.data.data(), U, N, F,
+             sat[chunk] += mk.gemm_s8(pa.data(), packed_b_.data(), out.data.data(), U, N, F,
                                       /*ldc=*/U, /*col_major_store=*/true, lo, hi,
                                       layer.bias.data(), layer.mult.data(), q_lo, q_hi);
            });
@@ -330,16 +340,20 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
     case OpKind::kRelu6:
     case OpKind::kIdentity:
     case OpKind::kFlatten: {
-      const QTensor& x = *ins.at(0);
-      const double rescale = x.scale / so;
-      const std::int8_t* px = x.data.data();
+      // Table lookup: prepare() requantized all 256 inputs with this node's
+      // scales and clamp, so bytes and saturation counts match per-element
+      // requantization exactly.
+      const std::int8_t* px = ins.at(0)->data.data();
       std::int8_t* py = out.data.data();
       pfor(0, static_cast<std::int64_t>(out.data.size()), 4096,
            [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+             std::uint64_t s = 0;
              for (std::int64_t i = lo; i < hi; ++i) {
-               py[i] = requant_clamped(static_cast<double>(px[i]) * rescale, q_lo, q_hi,
-                                       sat[chunk]);
+               const auto u = static_cast<std::uint8_t>(px[i]);
+               py[i] = plan.lut[u];
+               s += plan.lut_sat[u];
              }
+             sat[chunk] += s;
            });
       break;
     }

@@ -15,6 +15,7 @@
 ///  - `act_scale` attributes present on every node (run
 ///    opt::calibrate_activations first).
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -109,6 +110,10 @@ class QuantizedExecutor {
     bool fused_unsupported = false;         ///< fused act the int path can't run
     std::string fused_name;                 ///< for the error message only
     runtime_kernels::Conv2dGeometry conv;   ///< valid for kConv2d nodes
+    /// Unary requant nodes (Relu/Relu6/Identity/Flatten): output byte and
+    /// saturation flag per input byte, indexed by uint8(input).
+    std::array<std::int8_t, 256> lut{};
+    std::array<std::uint8_t, 256> lut_sat{};
   };
 
   QTensor execute_node(const Node& n, const std::vector<const QTensor*>& ins);
@@ -133,8 +138,9 @@ class QuantizedExecutor {
   std::size_t nodes_executed_ = 0;
   unsigned threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
-  std::vector<std::int8_t> scratch_;        ///< im2col column matrix
+  std::vector<std::int8_t> scratch_;        ///< folded im2col / transposed dense input
   std::vector<std::int8_t> packed_b_;       ///< microkernel B panels
+  std::vector<std::int8_t> folded_;         ///< batch > 1 folded conv output
   util::SimdLevel simd_req_ = util::SimdLevel::kAuto;
   util::SimdLevel active_simd_ = util::SimdLevel::kPortable;
   const runtime_kernels::GemmMicrokernels* mk_ = nullptr;  ///< table of the current run

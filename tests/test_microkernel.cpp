@@ -524,6 +524,61 @@ TEST(Determinism, BatchLanesBitwiseEqualSingletonAtEveryLevel) {
   }
 }
 
+TEST(Determinism, ConvBatchLanesBitwiseEqualSingletonAtEveryLevel) {
+  // Batch folding packs the samples' pixels side by side into one GEMM N.
+  // Each sample has 10x10 = 100 output pixels, not a multiple of any nr, so
+  // lanes of different samples share tiles. The graph also has a grouped
+  // conv and a depthwise layer. Every lane must still be bitwise equal to
+  // the same sample run alone, in f32 and int8, at portable and SIMD level.
+  constexpr std::int64_t kBatch = 3;
+  const Shape one_shape{1, 4, 10, 10};
+  const Graph g1 = deploy_ready_q(conv_variants_graph(1), 71, one_shape);
+  Graph g3 = conv_variants_graph(kBatch);  // same weights, fusion and scales
+  Rng rng(71);
+  g3.materialize_weights(rng);
+  opt::FuseBatchNormPass bn;
+  bn.run(g3);
+  opt::FuseActivationPass act;
+  act.run(g3);
+  for (NodeId id : g1.topo_order()) {
+    g3.node(id).attrs.set_float("act_scale", g1.node(id).attrs.get_float("act_scale"));
+  }
+  std::vector<Tensor> samples;
+  std::vector<float> stacked;
+  for (std::int64_t b = 0; b < kBatch; ++b) {
+    const auto v = rand_f32(400, 101 + static_cast<std::uint64_t>(b));
+    samples.emplace_back(one_shape, v);
+    stacked.insert(stacked.end(), v.begin(), v.end());
+  }
+  const Tensor batch_in(Shape{kBatch, 4, 10, 10}, stacked);
+  for (auto level : kLevels) {
+    SCOPED_TRACE(util::simd_level_name(level));
+    const Tensor out = run_at_level(g3, batch_in, level, 2);
+    QuantizedExecutor q3(g3);
+    q3.set_simd(level);
+    const QTensor qout = q3.run_single(batch_in);
+    std::uint64_t lane_saturations = 0;
+    for (std::int64_t b = 0; b < kBatch; ++b) {
+      const Tensor alone = run_at_level(g1, samples[static_cast<std::size_t>(b)], level);
+      const auto row = static_cast<std::size_t>(alone.numel());
+      for (std::size_t j = 0; j < row; ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(out.data()[static_cast<std::size_t>(b) * row + j]),
+                  std::bit_cast<std::uint32_t>(alone.data()[j]))
+            << "f32 lane=" << b << " j=" << j;
+      }
+      QuantizedExecutor q1(g1);
+      q1.set_simd(level);
+      const QTensor qalone = q1.run_single(samples[static_cast<std::size_t>(b)]);
+      lane_saturations += q1.saturations();
+      for (std::size_t j = 0; j < row; ++j) {
+        ASSERT_EQ(qout.data[static_cast<std::size_t>(b) * row + j], qalone.data[j])
+            << "int8 lane=" << b << " j=" << j;
+      }
+    }
+    EXPECT_EQ(q3.saturations(), lane_saturations);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Packed-weight cache lifecycle
 // ---------------------------------------------------------------------------

@@ -147,6 +147,38 @@ TEST(QuantizedExecutor, FusedReluClampsNegative) {
   EXPECT_EQ(q.data[0], 0);  // relu(-1.0) == 0 in the integer domain
 }
 
+TEST(QuantizedExecutor, UnaryRequantTableMatchesPerElementRequant) {
+  // Relu6 and Flatten run through a 256-entry table built at prepare(); it
+  // must give the bytes and saturation counts of requantizing every element
+  // on its own. Hand-set scales make the Relu6 rescale saturate on purpose.
+  Graph g("unary");
+  const NodeId in = g.add_input("x", Shape{2, 4, 8, 8});
+  const NodeId r6 = g.add(OpKind::kRelu6, "r6", {in});
+  const NodeId flat = g.add(OpKind::kFlatten, "flat", {r6});
+  const double s_in = 0.05, s_r6 = 0.02, s_flat = 0.03;
+  g.node(in).attrs.set_float("act_scale", s_in);
+  g.node(r6).attrs.set_float("act_scale", s_r6);
+  g.node(flat).attrs.set_float("act_scale", s_flat);
+  Rng rng(47);
+  const Tensor x(Shape{2, 4, 8, 8}, rng.normal_vector(512));
+
+  QuantizedExecutor exec(g);
+  const QTensor got = exec.run_single(x);
+
+  const QTensor qx = quantize_fixed(x, s_in);
+  std::uint64_t sat = 0;
+  std::vector<std::int8_t> want(qx.data.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const std::int8_t mid = runtime_kernels::requant_clamped(
+        static_cast<double>(qx.data[i]) * (s_in / s_r6), 0, 127, sat);  // 6/0.02 > 127
+    want[i] = runtime_kernels::requant_clamped(static_cast<double>(mid) * (s_r6 / s_flat), -128,
+                                               127, sat);
+  }
+  EXPECT_EQ(got.data, want);
+  EXPECT_GT(sat, 0u);
+  EXPECT_EQ(exec.saturations(), sat);
+}
+
 TEST(QuantizedExecutor, UnfoldedBatchNormRejected) {
   Graph g = zoo::micro_cnn("m", 1, 1, 16, 4);  // contains BN
   Rng rng(1);
@@ -240,33 +272,31 @@ TEST(QuantizedExecutor, ResNet50ParallelBitwiseIdenticalToSerial) {
 }
 
 /// The int8 conv route of QuantizedExecutor at one dispatch table: the
-/// direct depthwise kernel, or im2col + packed panels + the table's GEMM
-/// tile per (batch, group). Returns the saturation count.
+/// direct depthwise kernel over (sample, channel), or per group one
+/// batch-folded im2col + packed panels + the table's GEMM tile over N =
+/// batch·cols, scattered into NCHW. Returns the saturation count.
 std::uint64_t route_conv_s8(const runtime_kernels::GemmMicrokernels& mk,
                             const runtime_kernels::Conv2dGeometry& geo, const std::int8_t* x,
                             const std::int8_t* w, const std::int32_t* bias, const double* mult,
                             std::int32_t q_lo, std::int32_t q_hi, std::int8_t* y) {
   using namespace runtime_kernels;
-  std::uint64_t sat = 0;
   if (geo.depthwise()) {
-    for (std::int64_t b = 0; b < geo.batch; ++b) {
-      sat += depthwise_s8(x, w, bias, y, geo, b, 0, geo.out_c, mult, q_lo, q_hi);
-    }
-    return sat;
+    return depthwise_s8(x, w, bias, y, geo, 0, geo.batch * geo.out_c, mult, q_lo, q_hi);
   }
-  const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
-  std::vector<std::int8_t> col(static_cast<std::size_t>(patch * cols));
-  std::vector<std::int8_t> pb(packed_b_s8_bytes(patch, cols, mk.s8));
+  const std::int64_t patch = geo.patch(), m = geo.ocg(), n = geo.batch * geo.cols();
+  std::vector<std::int8_t> col(static_cast<std::size_t>(patch * n));
+  std::vector<std::int8_t> pb(packed_b_s8_bytes(patch, n, mk.s8));
   std::vector<std::int32_t> pa(packed_a_s8_words(m, patch, mk.s8));
-  for (std::int64_t b = 0; b < geo.batch; ++b) {
-    for (std::int64_t g = 0; g < geo.groups; ++g) {
-      im2col_s8(x, geo, b, g, 0, patch, col.data());
-      pack_b_s8(col.data(), patch, cols, mk.s8, 0, panel_count(cols, mk.s8.nr), pb.data());
-      pack_a_s8(w + g * m * patch, m, patch, mk.s8, pa.data());
-      sat += mk.gemm_s8(pa.data(), pb.data(), y + (b * geo.out_c + g * m) * cols, m, cols, patch,
-                        cols, /*col_major_store=*/false, 0, panel_count(m, mk.s8.mr),
-                        bias + g * m, mult + g * m, q_lo, q_hi);
-    }
+  std::vector<std::int8_t> folded(static_cast<std::size_t>(m * n));
+  std::uint64_t sat = 0;
+  for (std::int64_t g = 0; g < geo.groups; ++g) {
+    im2col_s8(x, geo, g, 0, patch, col.data());
+    pack_b_s8(col.data(), patch, n, mk.s8, 0, panel_count(n, mk.s8.nr), pb.data());
+    pack_a_s8(w + g * m * patch, m, patch, mk.s8, pa.data());
+    sat += mk.gemm_s8(pa.data(), pb.data(), folded.data(), m, n, patch, n,
+                      /*col_major_store=*/false, 0, panel_count(m, mk.s8.mr), bias + g * m,
+                      mult + g * m, q_lo, q_hi);
+    unfold_output(folded.data(), geo, g, 0, geo.batch * m, y);
   }
   return sat;
 }
@@ -293,7 +323,7 @@ TEST(QuantizedExecutor, GemmConvBitwiseMatchesDirectConv) {
   };
   for (const Case& c : cases) {
     runtime_kernels::Conv2dGeometry geo;
-    geo.batch = 2;
+    geo.batch = 3;
     geo.in_c = c.in_c;
     geo.in_h = 11;
     geo.in_w = 9;

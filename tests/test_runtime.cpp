@@ -437,10 +437,11 @@ TEST(ExecutionEngine, MobileNetV3ParallelBitwiseIdenticalToSerial) {
 }
 
 TEST(ExecutionEngine, GemmConvMatchesDirectConv) {
-  // The im2col + microkernel route (depthwise: the direct depthwise kernel)
-  // against the direct loop nest over a geometry grid covering kernel size,
-  // stride, padding, groups and the fused epilogue, at the portable and the
-  // SIMD level. The GEMM accumulates in float along the k-order the direct
+  // The batch-folded im2col + microkernel route (depthwise: the direct
+  // depthwise kernel) against the direct loop nest over a geometry grid
+  // covering kernel size, stride, padding, groups and the fused epilogue, at
+  // batch 3 (folded N = 3·H·W, then scattered to NCHW), at the portable and
+  // the SIMD level. The GEMM accumulates in float along the k-order the direct
   // loop walks, but the direct reference accumulates in double: close, not
   // bitwise.
   struct Case {
@@ -455,14 +456,14 @@ TEST(ExecutionEngine, GemmConvMatchesDirectConv) {
   std::uint64_t seed = 25;
   for (const Case& c : cases) {
     Graph g("conv");
-    const NodeId in = g.add_input("x", Shape{2, c.in_c, 11, 9});
+    const NodeId in = g.add_input("x", Shape{3, c.in_c, 11, 9});
     AttrMap a = conv_attrs(c.out_c, c.kernel, c.stride, c.pad, c.groups);
     if (*c.act != '\0') a.set_str("fused_act", c.act);
     const NodeId conv = g.add(OpKind::kConv2d, "conv", {in}, std::move(a));
     Rng rng(seed++);
     g.materialize_weights(rng);
     Rng data_rng(seed++);
-    const Tensor x(Shape{2, c.in_c, 11, 9}, data_rng.normal_vector(2 * c.in_c * 11 * 9));
+    const Tensor x(Shape{3, c.in_c, 11, 9}, data_rng.normal_vector(3 * c.in_c * 11 * 9));
 
     const Node& n = g.node(conv);
     const auto geo = runtime_kernels::Conv2dGeometry::of(g, n);
