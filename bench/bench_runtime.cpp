@@ -7,7 +7,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <map>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "graph/cost.hpp"
@@ -34,35 +34,70 @@ struct SweepPoint {
   unsigned threads = 1;
   bool measured = true;          ///< false: threads exceed this host's cores
   double seconds = 0;            ///< median wall-clock of the timed runs
+  double min_seconds = 0, max_seconds = 0;  ///< spread of the timed runs
   double speedup_vs_portable = 1;///< vs portable t1, same dtype and batch
   double achieved = 0;           ///< GFLOP/s (f32) or int8 GOP/s, end-to-end
   double roof_fraction = 0;      ///< achieved / (per-thread roof * usable threads)
-  /// Batch > 1 only: batch-1 seconds over this point's seconds per lane,
-  /// same dtype, dispatch level and threads (0 = not applicable).
+  /// Batch > 1 only: median over the interleaved pairs of batch-1 seconds
+  /// over this point's seconds per lane (0 = not applicable).
   double lane_speedup_vs_batch1 = 0;
 };
 
-double median_run_seconds(runtime::Session& session, const std::string& feed,
-                          const Tensor& x, int repeats) {
-  (void)session.run({{feed, x}});  // warm-up: arena + scratch allocation
-  std::vector<double> times;
-  for (int i = 0; i < repeats; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)session.run({{feed, x}});
-    const auto t1 = std::chrono::steady_clock::now();
-    times.push_back(std::chrono::duration<double>(t1 - t0).count());
+/// One deployment graph of the sweep, shared by both dtypes so the f32 and
+/// int8 rows compare the same model: BN folded, activations fused, and
+/// calibrated (the f32 executor ignores the scales).
+struct SweepModel {
+  Graph graph;
+  Tensor input;
+  double ops = 0;  ///< 2 x MACs of one pass
+};
+
+SweepModel sweep_model(std::int64_t batch, std::int64_t image) {
+  Graph g = zoo::resnet50(batch, 10, image);
+  Rng rng(7);
+  g.materialize_weights(rng);
+  opt::FuseBatchNormPass bn;
+  bn.run(g);
+  opt::FuseActivationPass act;
+  act.run(g);
+  const Shape in{batch, 3, image, image};
+  std::vector<Tensor> calib;
+  Rng calib_rng(9);
+  for (int i = 0; i < 2; ++i) {
+    calib.emplace_back(in, calib_rng.normal_vector(static_cast<std::size_t>(in.numel())));
   }
+  opt::calibrate_activations(g, calib, Calibration::kMinMax);
+  Rng data_rng(8);
+  Tensor x(in, data_rng.normal_vector(static_cast<std::size_t>(in.numel())));
+  const double ops = 2.0 * static_cast<double>(graph_cost(g).macs);
+  return {std::move(g), std::move(x), ops};
+}
+
+double run_seconds(runtime::Session& session, const SweepModel& m) {
+  const std::string& feed = m.graph.node(m.graph.inputs().front()).name;
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)session.run({{feed, m.input}});
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Fill the spread and median fields of \p p from its timed runs.
+void set_times(SweepPoint& p, std::vector<double> times) {
   std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  p.min_seconds = times.front();
+  p.seconds = times[times.size() / 2];
+  p.max_seconds = times.back();
 }
 
 /// ResNet-50 engine sweep (dtype x batch x dispatch level x threads) against
-/// the measured host roofline. Writes the machine-readable baseline to
+/// the measured host roofline. Each configuration times its batch-1 and
+/// batch-8 sessions in interleaved pairs, so host drift moves both sides of
+/// the per-lane speedup alike. Writes the machine-readable baseline to
 /// $VEDLIOT_BENCH_RUNTIME_JSON when set — the file checked in as
 /// BENCH_runtime.json.
 void engine_sweep() {
   constexpr std::int64_t kImage = 64;  // full 224 is impractical for the portable rows
-  constexpr int kRepeats = 3;
+  constexpr int kRepeats = 5;
+  constexpr std::int64_t kBatches[2] = {1, 8};
   const unsigned hw_threads = util::ThreadPool::hardware_threads();
 
   // Per-thread compute roofs of this host at both dispatch levels; a
@@ -82,103 +117,78 @@ void engine_sweep() {
   std::printf(
       "\nExecution engine: ResNet-50 (image %lld), dispatch level x threads:\n\n",
       static_cast<long long>(kImage));
-  Table t({"dtype", "batch", "simd", "threads", "median run", "vs portable", "GF/s",
-           "roofline", "lane vs b1"});
-  std::vector<SweepPoint> points;
-  // Batch-1 seconds per (dtype, simd, threads): the batch-8 points' per-lane
-  // reference.
-  std::map<std::string, double> batch1_seconds;
-  const auto key = [](const SweepPoint& p) {
-    return p.dtype + "/" + p.simd + "/" + std::to_string(p.threads);
-  };
+  const std::string portable_name{util::simd_level_name(util::SimdLevel::kPortable)};
+  const std::string simd_name{
+      util::simd_level_name(util::resolve_simd_level(util::SimdLevel::kAuto))};
+  const SweepModel models[2] = {sweep_model(kBatches[0], kImage),
+                                sweep_model(kBatches[1], kImage)};
 
-  const auto add_row = [&](SweepPoint p) {
-    if (p.measured && p.batch == 1) batch1_seconds[key(p)] = p.seconds;
-    if (p.measured && p.batch > 1 && batch1_seconds.count(key(p)) > 0) {
-      p.lane_speedup_vs_batch1 =
-          batch1_seconds[key(p)] / (p.seconds / static_cast<double>(p.batch));
+  // points[b]: the rows of batch kBatches[b], in sweep order.
+  std::vector<SweepPoint> points[2];
+  for (const std::string dtype : {"f32", "int8"}) {
+    const auto make = dtype == "f32" ? &runtime::make_session
+                                     : &runtime::make_quantized_session;
+    // Portable dispatch (the scalar microkernel tiles, one thread) is the
+    // reference every SIMD point is a speedup over.
+    for (unsigned threads : {0u, 1u, 2u, 4u}) {
+      const bool portable = threads == 0;
+      const unsigned t = portable ? 1 : threads;
+      SweepPoint p[2];
+      for (int b = 0; b < 2; ++b) {
+        p[b] = SweepPoint{dtype, kBatches[b], portable ? portable_name : simd_name, t};
+        // A point this host cannot time honestly: more workers than cores
+        // just interleave on one core. Record it as unmeasured rather than
+        // publishing a fake scaling number.
+        p[b].measured = t <= hw_threads;
+      }
+      if (p[0].measured) {
+        runtime::RunOptions o;
+        o.exec.threads = t;
+        if (portable) o.exec.simd = util::SimdLevel::kPortable;
+        std::unique_ptr<runtime::Session> s[2] = {make(models[0].graph, o),
+                                                  make(models[1].graph, o)};
+        std::vector<double> times[2], lane_ratio;
+        for (int b = 0; b < 2; ++b) (void)run_seconds(*s[b], models[b]);  // warm-up
+        for (int i = 0; i < kRepeats; ++i) {
+          for (int b = 0; b < 2; ++b) times[b].push_back(run_seconds(*s[b], models[b]));
+          lane_ratio.push_back(times[0].back() /
+                               (times[1].back() / static_cast<double>(kBatches[1])));
+        }
+        std::sort(lane_ratio.begin(), lane_ratio.end());
+        p[1].lane_speedup_vs_batch1 = lane_ratio[lane_ratio.size() / 2];
+        for (int b = 0; b < 2; ++b) {
+          set_times(p[b], times[b]);
+          const double ref = portable ? p[b].seconds : points[b].front().seconds;
+          p[b].speedup_vs_portable = ref / p[b].seconds;
+          p[b].achieved = models[b].ops / p[b].seconds / 1e9;
+          p[b].roof_fraction = p[b].achieved / roof_for(dtype, p[b].simd, t);
+        }
+      }
+      for (int b = 0; b < 2; ++b) points[b].push_back(p[b]);
     }
+  }
+
+  Table t({"dtype", "batch", "simd", "threads", "median run", "min..max", "vs portable", "GF/s",
+           "roofline", "lane vs b1"});
+  std::vector<SweepPoint> all = points[0];
+  all.insert(all.end(), points[1].begin(), points[1].end());
+  for (const SweepPoint& p : all) {
     t.add_row({p.dtype, std::to_string(p.batch), p.simd, std::to_string(p.threads),
                p.measured ? fmt_fixed(p.seconds * 1e3, 1) + " ms" : "unmeasured",
+               p.measured ? fmt_fixed(p.min_seconds * 1e3, 1) + ".." +
+                                fmt_fixed(p.max_seconds * 1e3, 1)
+                          : "-",
                p.measured ? fmt_ratio(p.speedup_vs_portable) : "-",
                p.measured ? fmt_fixed(p.achieved, 2) : "-",
                p.measured ? fmt_fixed(p.roof_fraction * 100.0, 1) + "%" : "-",
                p.lane_speedup_vs_batch1 > 0 ? fmt_ratio(p.lane_speedup_vs_batch1) : "-"});
-    points.push_back(p);
-  };
-
-  const std::string portable_name{util::simd_level_name(util::SimdLevel::kPortable)};
-  const std::string simd_name{
-      util::simd_level_name(util::resolve_simd_level(util::SimdLevel::kAuto))};
-
-  for (std::int64_t batch : {std::int64_t{1}, std::int64_t{8}}) {
-    // One deployment graph for both dtypes, so the f32 and int8 rows
-    // compare the same model: BN folded, activations fused, and calibrated
-    // (the f32 executor ignores the scales).
-    Graph g = zoo::resnet50(batch, 10, kImage);
-    Rng rng(7);
-    g.materialize_weights(rng);
-    opt::FuseBatchNormPass bn;
-    bn.run(g);
-    opt::FuseActivationPass act;
-    act.run(g);
-    std::vector<Tensor> calib;
-    Rng calib_rng(9);
-    for (int i = 0; i < 2; ++i) {
-      calib.emplace_back(Shape{batch, 3, kImage, kImage},
-                         calib_rng.normal_vector(
-                             static_cast<std::size_t>(batch * 3 * kImage * kImage)));
-    }
-    opt::calibrate_activations(g, calib, Calibration::kMinMax);
-    const std::string feed = g.node(g.inputs().front()).name;
-    Rng data_rng(8);
-    Tensor x(Shape{batch, 3, kImage, kImage},
-             data_rng.normal_vector(static_cast<std::size_t>(batch * 3 * kImage * kImage)));
-    const double ops = 2.0 * static_cast<double>(graph_cost(g).macs);
-
-    for (const std::string dtype : {"f32", "int8"}) {
-      const auto make = dtype == "f32" ? &runtime::make_session
-                                       : &runtime::make_quantized_session;
-      // Portable dispatch: the scalar microkernel tiles, one thread — the
-      // reference every SIMD point is a speedup over.
-      SweepPoint portable{dtype, batch, portable_name, 1};
-      {
-        runtime::RunOptions o;
-        o.exec.threads = 1;
-        o.exec.simd = util::SimdLevel::kPortable;
-        auto s = make(g, o);
-        portable.seconds = median_run_seconds(*s, feed, x, kRepeats);
-      }
-      portable.achieved = ops / portable.seconds / 1e9;
-      portable.roof_fraction = portable.achieved / roof_for(dtype, portable_name, 1);
-      add_row(portable);
-
-      for (unsigned threads : {1u, 2u, 4u}) {
-        SweepPoint p{dtype, batch, simd_name, threads};
-        if (threads > hw_threads) {
-          // A point this host cannot time honestly: more workers than cores
-          // just interleave on one core. Record it as unmeasured rather than
-          // publishing a fake scaling number.
-          p.measured = false;
-          add_row(p);
-          continue;
-        }
-        runtime::RunOptions o;
-        o.exec.threads = threads;
-        auto s = make(g, o);
-        p.seconds = median_run_seconds(*s, feed, x, kRepeats);
-        p.speedup_vs_portable = portable.seconds / p.seconds;
-        p.achieved = ops / p.seconds / 1e9;
-        p.roof_fraction = p.achieved / roof_for(dtype, p.simd, threads);
-        add_row(p);
-      }
-    }
   }
   t.print(std::cout);
   bench::note("GF/s is end-to-end model flops (int8: integer ops) over wall-clock;");
   bench::note("roofline is the measured per-level register-FMA roof of this host;");
   bench::note("thread points beyond hardware_concurrency are recorded unmeasured;");
-  bench::note("lane vs b1 is batch-1 time over batch-8 time per lane (same dtype/simd/threads).");
+  bench::note("batch-1 and batch-8 runs of a configuration alternate; lane vs b1 is the");
+  bench::note("median over those pairs of batch-1 time over batch-8 time per lane.");
 
   if (const char* path = std::getenv("VEDLIOT_BENCH_RUNTIME_JSON")) {
     std::FILE* f = std::fopen(path, "w");
@@ -193,6 +203,9 @@ void engine_sweep() {
     std::fprintf(f, "  \"baseline\": \"portable dispatch, threads=1\",\n");
     std::fprintf(f, "  \"graph\": \"BN folded, activations fused, calibrated (f32 and int8)\",\n");
     std::fprintf(f,
+                 "  \"timing\": \"batch-1 and batch-8 runs of each configuration alternate; "
+                 "min/median/max over the runs; lane speedup is the median per-pair ratio\",\n");
+    std::fprintf(f,
                  "  \"roofline\": {\"portable_f32_gflops\": %s, \"portable_s8_gops\": %s, "
                  "\"%s_f32_gflops\": %s, \"%s_s8_gops\": %s},\n",
                  obs::json_number(roof_portable.f32_gflops).c_str(),
@@ -200,17 +213,21 @@ void engine_sweep() {
                  obs::json_number(roof_simd.f32_gflops).c_str(), simd_name.c_str(),
                  obs::json_number(roof_simd.s8_gops).c_str());
     std::fprintf(f, "  \"points\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const SweepPoint& p = points[i];
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const SweepPoint& p = all[i];
+      std::fprintf(f,
+                   "    {\"dtype\": \"%s\", \"batch\": %lld, \"simd\": \"%s\", \"threads\": %u, "
+                   "\"hardware_concurrency\": %u, ",
+                   p.dtype.c_str(), static_cast<long long>(p.batch), p.simd.c_str(), p.threads,
+                   hw_threads);
       if (p.measured) {
         std::fprintf(f,
-                     "    {\"dtype\": \"%s\", \"batch\": %lld, "
-                     "\"simd\": \"%s\", \"threads\": %u, \"hardware_concurrency\": %u, "
-                     "\"unmeasured\": false, \"median_seconds\": %s, "
-                     "\"achieved_gflops\": %s, \"fraction_of_roofline\": %s, "
-                     "\"speedup_vs_portable\": %s%s}%s\n",
-                     p.dtype.c_str(), static_cast<long long>(p.batch), p.simd.c_str(),
-                     p.threads, hw_threads, obs::json_number(p.seconds).c_str(),
+                     "\"unmeasured\": false, \"min_seconds\": %s, \"median_seconds\": %s, "
+                     "\"max_seconds\": %s, \"achieved_gflops\": %s, "
+                     "\"fraction_of_roofline\": %s, \"speedup_vs_portable\": %s%s}",
+                     obs::json_number(p.min_seconds).c_str(),
+                     obs::json_number(p.seconds).c_str(),
+                     obs::json_number(p.max_seconds).c_str(),
                      obs::json_number(p.achieved).c_str(),
                      obs::json_number(p.roof_fraction).c_str(),
                      obs::json_number(p.speedup_vs_portable).c_str(),
@@ -218,17 +235,11 @@ void engine_sweep() {
                          ? (", \"lane_speedup_vs_batch1\": " +
                             obs::json_number(p.lane_speedup_vs_batch1))
                                .c_str()
-                         : "",
-                     i + 1 < points.size() ? "," : "");
+                         : "");
       } else {
-        std::fprintf(f,
-                     "    {\"dtype\": \"%s\", \"batch\": %lld, "
-                     "\"simd\": \"%s\", \"threads\": %u, \"hardware_concurrency\": %u, "
-                     "\"unmeasured\": true, \"median_seconds\": null}%s\n",
-                     p.dtype.c_str(), static_cast<long long>(p.batch), p.simd.c_str(),
-                     p.threads, hw_threads,
-                     i + 1 < points.size() ? "," : "");
+        std::fprintf(f, "\"unmeasured\": true, \"median_seconds\": null}");
       }
+      std::fprintf(f, "%s\n", i + 1 < all.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -27,6 +27,11 @@ VEDLIOT_FORCE_PORTABLE=1 ctest --test-dir build --output-on-failure "${JOBS}" \
   -R 'test_microkernel|test_runtime|test_qruntime'
 
 echo
+echo "== tier-1: kernel suite pinned to the AVX2 level (madd int8 tile on AVX-VNNI hosts) =="
+VEDLIOT_SIMD=avx2 ctest --test-dir build --output-on-failure "${JOBS}" \
+  -R 'test_microkernel|test_runtime|test_qruntime'
+
+echo
 echo "== tier-1: bench baseline carries the roofline fields =="
 for field in achieved_gflops fraction_of_roofline hardware_concurrency; do
   grep -q "\"$field\"" BENCH_runtime.json || {

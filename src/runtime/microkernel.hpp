@@ -13,9 +13,14 @@
 ///   packed A (weights), panel p of mr rows:  [p][k][r]  (k-major, r minor)
 ///   packed B (im2col/activations), panel q of nr cols: [q][k][j]
 ///
-/// int8 packs differ: A becomes int16 k-pairs in one int32 word per (k/2,
-/// row), B interleaves adjacent k rows byte-wise so AVX2 `madd_epi16`
-/// accumulates two k steps per instruction with exact int32 arithmetic.
+/// int8 packs group `kgroup` consecutive k steps into one int32 word per
+/// (k group, row) of A and one kgroup-byte run per (k group, column) of B.
+/// kgroup 2 holds sign-extended int16 pairs, so AVX2 `madd_epi16` adds two
+/// k steps per instruction. kgroup 4 holds s8 weight quads against B bytes
+/// stored as u8 b + 128, so AVX-VNNI `vpdpbusd` adds four; the +128 offset
+/// adds 128·Σ_k a[r][k] to every output of row r, which packed A carries as
+/// one correction word per row and the tile subtracts from its start value.
+/// Both are exact int32 arithmetic (see pack_a_s8).
 ///
 /// Every dispatch level has a full table. The portable level is one more
 /// register tile over the same packed panels: plain scalar loops the
@@ -25,8 +30,10 @@
 ///  - every output element accumulates its K products in ascending k order
 ///    whatever the panel partition, so parallel-vs-serial runs are bitwise
 ///    identical at every level;
-///  - every int8 tile performs exact int32 arithmetic, so its outputs (and
-///    saturation counts) are bitwise equal across levels at any K/M/N;
+///  - every int8 tile performs exact int32 arithmetic and an exact
+///    requantization epilogue (the SIMD tiles' vector row store is the
+///    scalar one lane for lane), so outputs and saturation counts are
+///    bitwise equal across levels at any K/M/N;
 ///  - the SIMD f32 tiles keep the portable k order but contract each
 ///    multiply-add to one FMA rounding, so SIMD-vs-portable agrees to a
 ///    tight ULP bound rather than bitwise (scalar epilogues are shared, so
@@ -49,10 +56,13 @@
 
 namespace vedliot::runtime_kernels {
 
-/// Register tile of one microkernel: mr rows of A by nr columns of B.
+/// Register tile of one microkernel: mr rows of A by nr columns of B. int8
+/// tiles also fix the packed layout's k grouping (2: int16 pairs, 4: u8·s8
+/// quads); f32 tiles pack single k steps.
 struct MicrokernelTile {
   std::int64_t mr = 0;
   std::int64_t nr = 0;
+  std::int64_t kgroup = 1;
 };
 
 inline std::int64_t panel_count(std::int64_t extent, std::int64_t tile) {
@@ -75,12 +85,18 @@ void pack_a_f32(const float* a, std::int64_t m, std::int64_t k, const Microkerne
 void pack_b_f32(const float* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
                 std::int64_t panel_lo, std::int64_t panel_hi, float* packed);
 
-/// int8 A: one int32 word holds the sign-extended int16 pair
-/// (a[m][2kp], a[m][2kp+1]); odd K pads the second slot with zero.
+/// int8 A: one int32 word per (k group g, row) holds a[m][g·kg ..] in
+/// kgroup equal lanes (int16 lanes for pairs, bytes for quads); K tails pad
+/// with zero. Quad packs append one word per padded row, 128·Σ_k a[m][k]:
+/// the tile starts row m at bias − that word, and since B holds b + 128 the
+/// int32 sum is bias + Σ a·b exactly (non-saturating, wrapping int32 adds
+/// whose true result fits int32, so no intermediate can change it).
 void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, const MicrokernelTile& t,
                std::int32_t* packed);
-/// int8 B: bytes (b[2kp][j], b[2kp+1][j]) interleaved per column so one
-/// 32-byte load feeds madd_epi16 with two k steps for nr columns.
+/// int8 B: the kgroup bytes (b[g·kg][j], .., b[g·kg + kg−1][j]) of each
+/// column j stored together, so one 32-byte load feeds a tile instruction
+/// kgroup k steps of several columns; quad bytes are stored as b ^ 0x80
+/// (u8 b + 128).
 void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
                std::int64_t panel_lo, std::int64_t panel_hi, std::int8_t* packed);
 
@@ -106,7 +122,8 @@ using GemmS8Fn = std::uint64_t (*)(const std::int32_t* pa, const std::int8_t* pb
                                    std::int32_t q_lo, std::int32_t q_hi);
 
 /// One dispatch level's kernel set; every entry is always present (a level
-/// without its own int8 tile, such as NEON, carries the portable one).
+/// without its own tile carries another level's: NEON the portable int8
+/// tile, AVX-VNNI the AVX2 f32 tile).
 struct GemmMicrokernels {
   util::SimdLevel level = util::SimdLevel::kPortable;
   MicrokernelTile f32;
@@ -120,7 +137,7 @@ struct GemmMicrokernels {
 const GemmMicrokernels& gemm_microkernels(util::SimdLevel resolved);
 
 /// Measured compute roofs for the roofline model (hw/roofline.hpp): a
-/// register-resident FMA / madd chain timed for at least \p min_seconds,
+/// register-resident FMA / madd / vpdpbusd chain timed for at least \p min_seconds,
 /// returning GFLOP/s (f32, 2 flops per FMA) or GOP/s (int8, 2 ops per MAC)
 /// of one thread at the given resolved dispatch level.
 double peak_probe_f32(util::SimdLevel resolved, double min_seconds);

@@ -8,12 +8,14 @@ const std::vector<T>& PackedWeightCache::get(std::map<Key, Entry<T>>& table, Nod
                                              const MicrokernelTile& tile,
                                              const std::function<void(std::vector<T>&)>& pack) {
   Entry<T>& e = table[{node, group}];
-  if (e.version != graph_version || e.mr != tile.mr || e.nr != tile.nr || e.data.empty()) {
+  if (e.version != graph_version || e.mr != tile.mr || e.nr != tile.nr ||
+      e.kgroup != tile.kgroup || e.data.empty()) {
     e.data.clear();
     pack(e.data);
     e.version = graph_version;
     e.mr = tile.mr;
     e.nr = tile.nr;
+    e.kgroup = tile.kgroup;
     ++packs_;
   }
   return e.data;

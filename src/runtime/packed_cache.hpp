@@ -10,7 +10,8 @@
 /// mutation that calls Graph::touch() — an OTA swap rebuilding the graph, a
 /// WeightScrubber surgical repair, a ModelStore full restore — invalidates
 /// the stale panels on the next run, and an env-forced dispatch-level change
-/// (different tile) repacks rather than feeding a kernel the wrong layout.
+/// (different tile shape or k grouping) repacks rather than feeding a
+/// kernel the wrong layout.
 ///
 /// Thread safety: lookups and packs run under one mutex, so concurrent
 /// callers can pack different layers safely. After insertion an entry
@@ -39,8 +40,8 @@ class PackedWeightCache {
                                     std::uint64_t graph_version, const MicrokernelTile& tile,
                                     const std::function<void(std::vector<float>&)>& pack);
 
-  /// int8 variant: the packed buffer holds the int16-pair words pack_a_s8
-  /// produces.
+  /// int8 variant: the packed buffer holds the k-group words (and, for
+  /// quads, the per-row correction words) pack_a_s8 produces.
   const std::vector<std::int32_t>& get_s8(NodeId node, std::int64_t group,
                                           std::uint64_t graph_version,
                                           const MicrokernelTile& tile,
@@ -57,7 +58,7 @@ class PackedWeightCache {
   struct Entry {
     std::vector<T> data;
     std::uint64_t version = 0;
-    std::int64_t mr = 0, nr = 0;
+    std::int64_t mr = 0, nr = 0, kgroup = 0;
   };
   using Key = std::pair<NodeId, std::int64_t>;
 

@@ -84,15 +84,23 @@ void QuantizedExecutor::prepare() {
       plan.fused_name = fused;
     }
     if (n.kind == OpKind::kConv2d) plan.conv = Conv2dGeometry::of(graph_, n);
-    if (n.kind == OpKind::kRelu || n.kind == OpKind::kRelu6 || n.kind == OpKind::kIdentity ||
-        n.kind == OpKind::kFlatten) {
-      // Per-element requantization of execute_node, for every input byte.
-      const double rescale = out_scale_.at(n.inputs.at(0)) / so;
-      for (int u = 0; u < 256; ++u) {
+    const bool add = n.kind == OpKind::kAdd;
+    if (add || n.kind == OpKind::kRelu || n.kind == OpKind::kRelu6 ||
+        n.kind == OpKind::kIdentity || n.kind == OpKind::kFlatten) {
+      // The per-element double requantization, for every input byte (Add:
+      // every byte pair, indexed a << 8 | b).
+      const double sa = out_scale_.at(n.inputs.at(0));
+      const double sb = add ? out_scale_.at(n.inputs.at(1)) : 0.0;
+      const double rescale = sa / so;
+      plan.lut.resize(add ? 65536 : 256);
+      plan.lut_sat.resize(plan.lut.size());
+      for (std::size_t u = 0; u < plan.lut.size(); ++u) {
+        const auto a = static_cast<double>(static_cast<std::int8_t>(add ? u >> 8 : u));
+        const auto b = static_cast<double>(static_cast<std::int8_t>(u));
         std::uint64_t s = 0;
-        plan.lut[static_cast<std::size_t>(u)] = requant_clamped(
-            static_cast<double>(static_cast<std::int8_t>(u)) * rescale, plan.q_lo, plan.q_hi, s);
-        plan.lut_sat[static_cast<std::size_t>(u)] = static_cast<std::uint8_t>(s);
+        plan.lut[u] = requant_clamped(add ? (a * sa + b * sb) / so : a * rescale, plan.q_lo,
+                                      plan.q_hi, s);
+        plan.lut_sat[u] = static_cast<std::uint8_t>(s);
       }
     }
 
@@ -339,17 +347,25 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
     case OpKind::kRelu:
     case OpKind::kRelu6:
     case OpKind::kIdentity:
-    case OpKind::kFlatten: {
-      // Table lookup: prepare() requantized all 256 inputs with this node's
-      // scales and clamp, so bytes and saturation counts match per-element
-      // requantization exactly.
+    case OpKind::kFlatten:
+    case OpKind::kAdd: {
+      // Table lookup: prepare() requantized every input byte (Add: byte
+      // pair) with this node's scales and clamp, so bytes and saturation
+      // counts match per-element requantization exactly.
       const std::int8_t* px = ins.at(0)->data.data();
+      const std::int8_t* pb = nullptr;
+      if (n.kind == OpKind::kAdd) {
+        VEDLIOT_CHECK(ins.at(0)->shape == ins.at(1)->shape,
+                      "integer Add supports equal shapes only");
+        pb = ins[1]->data.data();
+      }
       std::int8_t* py = out.data.data();
       pfor(0, static_cast<std::int64_t>(out.data.size()), 4096,
            [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
              std::uint64_t s = 0;
              for (std::int64_t i = lo; i < hi; ++i) {
-               const auto u = static_cast<std::uint8_t>(px[i]);
+               std::size_t u = static_cast<std::uint8_t>(px[i]);
+               if (pb != nullptr) u = u << 8 | static_cast<std::uint8_t>(pb[i]);
                py[i] = plan.lut[u];
                s += plan.lut_sat[u];
              }
@@ -432,24 +448,6 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
           }
         }
       });
-      break;
-    }
-
-    case OpKind::kAdd: {
-      const QTensor& a = *ins.at(0);
-      const QTensor& b = *ins.at(1);
-      VEDLIOT_CHECK(a.shape == b.shape, "integer Add supports equal shapes only");
-      const std::int8_t* pa = a.data.data();
-      const std::int8_t* pb = b.data.data();
-      std::int8_t* py = out.data.data();
-      const double sa = a.scale, sb = b.scale;
-      pfor(0, static_cast<std::int64_t>(out.data.size()), 4096,
-           [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-             for (std::int64_t i = lo; i < hi; ++i) {
-               const double v = static_cast<double>(pa[i]) * sa + static_cast<double>(pb[i]) * sb;
-               py[i] = requant_clamped(v / so, q_lo, q_hi, sat[chunk]);
-             }
-           });
       break;
     }
 

@@ -15,7 +15,6 @@
 ///  - `act_scale` attributes present on every node (run
 ///    opt::calibrate_activations first).
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -110,10 +109,11 @@ class QuantizedExecutor {
     bool fused_unsupported = false;         ///< fused act the int path can't run
     std::string fused_name;                 ///< for the error message only
     runtime_kernels::Conv2dGeometry conv;   ///< valid for kConv2d nodes
-    /// Unary requant nodes (Relu/Relu6/Identity/Flatten): output byte and
-    /// saturation flag per input byte, indexed by uint8(input).
-    std::array<std::int8_t, 256> lut{};
-    std::array<std::uint8_t, 256> lut_sat{};
+    /// Requant-only nodes: output byte and saturation flag per input byte,
+    /// indexed by uint8(input) (Relu/Relu6/Identity/Flatten), or per input
+    /// byte pair, indexed by uint8(a) << 8 | uint8(b) (Add).
+    std::vector<std::int8_t> lut;
+    std::vector<std::uint8_t> lut_sat;
   };
 
   QTensor execute_node(const Node& n, const std::vector<const QTensor*>& ins);

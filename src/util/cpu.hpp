@@ -3,8 +3,8 @@
 /// \brief Host CPU SIMD capability detection and dispatch-level resolution.
 ///
 /// The execution engine carries one portable scalar kernel set plus
-/// architecture-specific microkernels (AVX2/FMA on x86-64, NEON on
-/// aarch64). Which set actually runs is decided *at runtime* from CPUID
+/// architecture-specific microkernels (AVX2/FMA and AVX-VNNI on x86-64,
+/// NEON on aarch64). Which set actually runs is decided *at runtime* from CPUID
 /// feature bits — the VEDLIoT premise is one binary serving heterogeneous
 /// devices, so the compiled artifact must never assume the build host's
 /// ISA. Resolution order:
@@ -12,10 +12,12 @@
 ///   1. `VEDLIOT_FORCE_PORTABLE=1` (env) pins the portable scalar path —
 ///      the kill switch for field debugging and the reference half of
 ///      every SIMD-vs-scalar regression test.
-///   2. `VEDLIOT_SIMD=portable|avx2|neon|auto` (env) requests a specific
-///      level; an unavailable request falls back to portable, never up.
+///   2. `VEDLIOT_SIMD=portable|avx2|avxvnni|neon|auto` (env) requests a
+///      specific level; an unavailable request falls back to portable,
+///      never up. `avx2` pins the madd int8 tile on a VNNI host.
 ///   3. An explicit ExecConfig::simd request, same fallback rule.
-///   4. kAuto picks the best level the CPU supports.
+///   4. kAuto picks the best level the CPU supports: avxvnni, then avx2,
+///      then neon, then portable.
 
 #include <string_view>
 
@@ -27,6 +29,7 @@ enum class SimdLevel {
   kAuto,      ///< request: pick the best available at runtime
   kPortable,  ///< scalar C++ kernels, available everywhere
   kAvx2,      ///< x86-64 AVX2+FMA microkernels
+  kAvxVnni,   ///< kAvx2 plus the AVX-VNNI (vpdpbusd) int8 tile
   kNeon,      ///< aarch64 NEON microkernels
 };
 
@@ -36,6 +39,7 @@ std::string_view simd_level_name(SimdLevel level);
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
+  bool avx_vnni = false;  ///< CPUID.(EAX=7,ECX=1):EAX[4], VEX-encoded vpdpbusd
   bool neon = false;
 };
 const CpuFeatures& cpu_features();

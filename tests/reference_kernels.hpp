@@ -29,7 +29,7 @@ namespace vedliot::testref {
 inline std::vector<const runtime_kernels::GemmMicrokernels*> all_tables() {
   std::vector<const runtime_kernels::GemmMicrokernels*> out{
       &runtime_kernels::gemm_microkernels(util::SimdLevel::kPortable)};
-  for (auto level : {util::SimdLevel::kAvx2, util::SimdLevel::kNeon}) {
+  for (auto level : {util::SimdLevel::kAvx2, util::SimdLevel::kAvxVnni, util::SimdLevel::kNeon}) {
     const auto& t = runtime_kernels::gemm_microkernels(level);
     if (util::simd_supported(level) && t.level == level) out.push_back(&t);
   }

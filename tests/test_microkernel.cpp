@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -196,6 +199,99 @@ TEST(Microkernel, S8EdgeTailsBitwiseEqualScalarReference) {
   }
 }
 
+TEST(Microkernel, S8ExtremeOperandsBitwiseEqualScalarReference) {
+  // Operands at the int8 extremes push the u8 offset (b + 128 up to 255)
+  // and the per-row correction 128·Σa to their largest magnitudes, and
+  // K = 4608 is ResNet-50's deepest im2col patch; K tails 1, 3, 5 pad a
+  // partial k group.
+  const std::int64_t ks[] = {1, 3, 4, 5, 147, 4608};
+  const std::int64_t ms[] = {7, 13};
+  const std::int64_t ns[] = {17, 33};
+  for (const GemmMicrokernels* t : all_tables()) {
+    SCOPED_TRACE(util::simd_level_name(t->level));
+    for (std::int64_t k : ks) {
+      for (std::int64_t m : ms) {
+        for (std::int64_t n : ns) {
+          // Rows of all -128, all 127 and alternating signs; activations
+          // -128 / 127 in a pattern that differs per column.
+          std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+          for (std::int64_t r = 0; r < m; ++r) {
+            for (std::int64_t kp = 0; kp < k; ++kp) {
+              const bool lo = r % 3 == 0 || (r % 3 == 2 && kp % 2 == 0);
+              a[static_cast<std::size_t>(r * k + kp)] = lo ? -128 : 127;
+            }
+          }
+          std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+          for (std::int64_t kp = 0; kp < k; ++kp) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              const bool lo = j % 4 == 0 || (kp + j) % 3 == 0;
+              b[static_cast<std::size_t>(kp * n + j)] = lo ? -128 : 127;
+            }
+          }
+          std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
+          std::vector<double> mult(static_cast<std::size_t>(m));
+          for (std::int64_t r = 0; r < m; ++r) {
+            bias[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(r * 997 - 5000);
+            // Fine and coarse scales: some rows saturate, some land in range.
+            mult[static_cast<std::size_t>(r)] = (r % 2 == 0 ? 1e-6 : 1e-3) / static_cast<double>(k);
+          }
+          for (std::int32_t q_lo : {-128, 0}) {
+            std::vector<std::int8_t> ref(static_cast<std::size_t>(m * n));
+            const std::uint64_t sat_ref = testref::naive_gemm_s8(
+                a.data(), b.data(), ref.data(), m, n, k, bias.data(), mult.data(), q_lo, 127);
+            std::vector<std::int8_t> got(ref.size(), 99);
+            const std::uint64_t sat_got = mk_gemm_s8(*t, a.data(), b.data(), got.data(), m, n, k,
+                                                     bias.data(), mult.data(), q_lo, 127);
+            ASSERT_EQ(sat_got, sat_ref) << "m=" << m << " n=" << n << " k=" << k;
+            ASSERT_EQ(got, ref) << "m=" << m << " n=" << n << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Microkernel, S8VectorEpilogueMatchesScalarStore) {
+  // Full row-major 16-wide rows take the SIMD tiles' vector requantizer;
+  // the col-major store of the same GEMM takes the scalar store_tile_s8.
+  // With K = 1 and a = 1, acc = bias + b, so the rows below put products on
+  // ±127.5 and ±128.5, on x.5 ties of either parity, and far outside
+  // [-128, 127], under the Identity, Relu and Relu6 clamp windows.
+  constexpr std::int64_t m = 7, n = 256, k = 1;
+  const std::vector<std::int8_t> a(m, 1);
+  std::vector<std::int8_t> b(n);
+  for (std::int64_t j = 0; j < n; ++j) {
+    b[static_cast<std::size_t>(j)] = static_cast<std::int8_t>(j - 128);
+  }
+  const std::vector<std::int32_t> bias = {0, 128, -128, 255 - 127, -257 + 128, 1000, -1000};
+  const std::vector<double> mult = {0.5, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25};
+  for (const GemmMicrokernels* t : all_tables()) {
+    SCOPED_TRACE(util::simd_level_name(t->level));
+    for (const auto& [q_lo, q_hi] : {std::pair{-128, 127}, std::pair{0, 127}, std::pair{0, 47}}) {
+      std::vector<std::int8_t> ref(static_cast<std::size_t>(m * n));
+      const std::uint64_t sat_ref = testref::naive_gemm_s8(a.data(), b.data(), ref.data(), m, n, k,
+                                                           bias.data(), mult.data(), q_lo, q_hi);
+      EXPECT_GT(sat_ref, 0u);
+      std::vector<std::int8_t> row(ref.size()), col(ref.size());
+      const std::uint64_t sat_row = mk_gemm_s8(*t, a.data(), b.data(), row.data(), m, n, k,
+                                               bias.data(), mult.data(), q_lo, q_hi);
+      const std::uint64_t sat_col = mk_gemm_s8(*t, a.data(), b.data(), col.data(), m, n, k,
+                                               bias.data(), mult.data(), q_lo, q_hi,
+                                               /*col_major=*/true);
+      EXPECT_EQ(sat_row, sat_ref);
+      EXPECT_EQ(sat_col, sat_ref);
+      for (std::int64_t r = 0; r < m; ++r) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          const auto i = static_cast<std::size_t>(r * n + j);
+          ASSERT_EQ(row[i], ref[i]) << "r=" << r << " j=" << j << " window " << q_lo << ".."
+                                    << q_hi;
+          ASSERT_EQ(col[static_cast<std::size_t>(j * m + r)], ref[i]) << "r=" << r << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(Microkernel, ColMajorStoreIsBitwiseTransposeOfRowMajor) {
   for (const GemmMicrokernels* t : all_tables()) {
     SCOPED_TRACE(util::simd_level_name(t->level));
@@ -279,6 +375,7 @@ TEST(Dispatch, ForcePortableEnvWinsOverEverything) {
 
 TEST(Dispatch, ForcePortableZeroIsOff) {
   ScopedEnv force("VEDLIOT_FORCE_PORTABLE", "0");
+  ScopedEnv no_pin("VEDLIOT_SIMD", "");  // tier1 also runs this suite under VEDLIOT_SIMD=avx2
   const auto resolved = util::resolve_simd_level(util::SimdLevel::kAuto);
   // "0" disables the kill switch: kAuto resolves to the host's best level.
   EXPECT_EQ(resolved, best_table().level);
@@ -293,15 +390,35 @@ TEST(Dispatch, SimdEnvSelectsLevel) {
     EXPECT_EQ(util::resolve_simd_level(util::SimdLevel::kAuto),
               util::SimdLevel::kPortable);
   }
-  {
-    ScopedEnv sel("VEDLIOT_SIMD", "avx2");
+  for (auto level : {util::SimdLevel::kAvx2, util::SimdLevel::kAvxVnni}) {
+    ScopedEnv sel("VEDLIOT_SIMD", std::string(util::simd_level_name(level)).c_str());
     const auto resolved = util::resolve_simd_level(util::SimdLevel::kAuto);
-    if (util::simd_supported(util::SimdLevel::kAvx2)) {
-      EXPECT_EQ(resolved, util::SimdLevel::kAvx2);
+    if (util::simd_supported(level)) {
+      EXPECT_EQ(resolved, level);
     } else {
       // Unsupported request degrades to portable rather than crashing.
       EXPECT_EQ(resolved, util::SimdLevel::kPortable);
     }
+  }
+}
+
+TEST(Dispatch, AutoPrefersAvxVnniThenAvx2) {
+  ScopedEnv off("VEDLIOT_FORCE_PORTABLE", "0");
+  ScopedEnv no_pin("VEDLIOT_SIMD", "");
+  const util::CpuFeatures& f = util::cpu_features();
+  // AVX-VNNI is an add-on to the AVX2 level, never a level of its own.
+  EXPECT_EQ(util::simd_supported(util::SimdLevel::kAvxVnni), f.avx2 && f.fma && f.avx_vnni);
+  const auto resolved = util::resolve_simd_level(util::SimdLevel::kAuto);
+  if (util::simd_supported(util::SimdLevel::kAvxVnni)) {
+    EXPECT_EQ(resolved, util::SimdLevel::kAvxVnni);
+  } else if (util::simd_supported(util::SimdLevel::kAvx2)) {
+    EXPECT_EQ(resolved, util::SimdLevel::kAvx2);  // exactly the pre-VNNI resolution
+  }
+  EXPECT_EQ(resolved, best_table().level);
+  // An explicit avx2 request still gets the madd tile on a VNNI host.
+  if (util::simd_supported(util::SimdLevel::kAvx2)) {
+    EXPECT_EQ(util::resolve_simd_level(util::SimdLevel::kAvx2), util::SimdLevel::kAvx2);
+    EXPECT_EQ(runtime_kernels::gemm_microkernels(util::SimdLevel::kAvx2).s8.kgroup, 2);
   }
 }
 
@@ -321,6 +438,7 @@ TEST(Dispatch, PortableLevelHasFullTable) {
 
 TEST(Dispatch, ExecutorReportsActiveLevel) {
   ScopedEnv off("VEDLIOT_FORCE_PORTABLE", "0");
+  ScopedEnv no_pin("VEDLIOT_SIMD", "");
   Graph g = zoo::micro_mlp("m", 1, 16, {24, 12}, 4);
   Rng rng(3);
   g.materialize_weights(rng);
@@ -440,6 +558,38 @@ TEST(SessionDispatch, Int8ConvVariantsBitwiseAcrossLevels) {
   ASSERT_EQ(qp.data.size(), qs.data.size());
   for (std::size_t i = 0; i < qp.data.size(); ++i) ASSERT_EQ(qp.data[i], qs.data[i]);
   EXPECT_EQ(portable.saturations(), simd.saturations());
+}
+
+TEST(SessionDispatch, Int8SwitchingAvx2AndAvxVnniRepacksAndStaysBitwise) {
+  // The two x86 int8 levels pack weights differently (int16 pairs vs u8·s8
+  // quads with correction words). One executor flipped between them must
+  // repack on every switch and keep every byte and saturation count.
+  if (!util::simd_supported(util::SimdLevel::kAvxVnni)) GTEST_SKIP() << "no AVX-VNNI";
+  ScopedEnv off("VEDLIOT_FORCE_PORTABLE", "0");
+  ScopedEnv no_pin("VEDLIOT_SIMD", "");
+  const Shape in_shape{2, 4, 10, 10};
+  Graph g = deploy_ready_q(conv_variants_graph(2), 17, in_shape);
+  const Tensor in(in_shape, rand_f32(800, 81));
+  QuantizedExecutor portable(g);
+  portable.set_simd(util::SimdLevel::kPortable);
+  const QTensor ref = portable.run_single(in);
+
+  QuantizedExecutor exec(g);
+  std::size_t packs = 0;
+  for (auto level : {util::SimdLevel::kAvx2, util::SimdLevel::kAvxVnni, util::SimdLevel::kAvx2,
+                     util::SimdLevel::kAvxVnni}) {
+    SCOPED_TRACE(util::simd_level_name(level));
+    exec.set_simd(level);
+    const std::uint64_t sat0 = exec.saturations();
+    const QTensor got = exec.run_single(in);
+    EXPECT_EQ(exec.active_simd(), level);
+    EXPECT_GT(exec.weight_packs(), packs);  // the other level's panels are stale
+    packs = exec.weight_packs();
+    ASSERT_EQ(got.data, ref.data);
+    EXPECT_EQ(exec.saturations() - sat0, portable.saturations());
+  }
+  (void)exec.run_single(in);
+  EXPECT_EQ(exec.weight_packs(), packs);  // same level again: cache hits only
 }
 
 TEST(SessionDispatch, Int8DenseBatchedBitwiseAcrossLevels) {
@@ -605,6 +755,12 @@ TEST(PackedWeightCache, SteadyStateReusesAndInvalidatesOnVersionOrTile) {
   cache.clear();
   (void)cache.get_f32(3, 0, 2, other, pack);
   EXPECT_EQ(cache.packs(), 5u);
+  // Same tile shape, other int8 k grouping (int16 pairs vs VNNI quads).
+  auto pack_s8 = [&](std::vector<std::int32_t>& buf) { buf.assign(8, 1); };
+  (void)cache.get_s8(3, 0, 2, MicrokernelTile{6, 16, 2}, pack_s8);
+  (void)cache.get_s8(3, 0, 2, MicrokernelTile{6, 16, 4}, pack_s8);
+  (void)cache.get_s8(3, 0, 2, MicrokernelTile{6, 16, 4}, pack_s8);
+  EXPECT_EQ(cache.packs(), 7u);
 }
 
 TEST(PackedWeightCache, ExecutorReusesPacksAcrossRuns) {
@@ -709,10 +865,66 @@ TEST(SelfHeal, Int8RepairTriggersRepreparationAndBitwiseCleanRerun) {
 // ---------------------------------------------------------------------------
 
 TEST(Roofline, ProbesMeasurePositiveRoofs) {
+  ScopedEnv no_pin("VEDLIOT_SIMD", "");
   const auto roof = hw::measure_host_roofline(util::SimdLevel::kPortable, 0.005);
   EXPECT_EQ(roof.level, util::SimdLevel::kPortable);
   EXPECT_GT(roof.f32_gflops, 0.0);
   EXPECT_GT(roof.s8_gops, 0.0);
+}
+
+TEST(Roofline, EachLevelsProbeIsAtLeastItsTilesRate) {
+  // A roof below what the tile itself achieves makes every roof_fraction
+  // meaningless. Each level's f32 and int8 tiles run an L2-resident GEMM.
+  // Both sides are the best of many short samples, interleaved over ten
+  // rounds, so a sample the scheduler preempts on a loaded host (tier-1
+  // runs suites in parallel) sets neither number.
+  constexpr std::int64_t m = 96, n = 192, k = 256;
+  const double ops = 2.0 * m * n * k;
+  const auto best_call_rate = [&](const auto& run) {  // best single call over >= 4 ms
+    double best = 0;
+    const auto start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - start < std::chrono::milliseconds(4)) {
+      const auto t0 = std::chrono::steady_clock::now();
+      run();
+      const std::chrono::duration<double> s = std::chrono::steady_clock::now() - t0;
+      best = std::max(best, ops / s.count() / 1e9);
+    }
+    return best;
+  };
+  const auto a = rand_f32(m * k, 1), b = rand_f32(k * n, 2);
+  const auto a8 = rand_s8(m * k, 3), b8 = rand_s8(k * n, 4);
+  const std::vector<double> mult(m, 0.001);
+  std::vector<float> c(m * n);
+  std::vector<std::int8_t> c8(m * n);
+  for (const GemmMicrokernels* t : all_tables()) {
+    SCOPED_TRACE(util::simd_level_name(t->level));
+    std::vector<float> pa(runtime_kernels::packed_a_f32_elems(m, k, t->f32));
+    std::vector<float> pb(runtime_kernels::packed_b_f32_elems(k, n, t->f32));
+    runtime_kernels::pack_a_f32(a.data(), m, k, t->f32, pa.data());
+    runtime_kernels::pack_b_f32(b.data(), k, n, t->f32, 0, panel_count(n, t->f32.nr), pb.data());
+    std::vector<std::int32_t> pa8(runtime_kernels::packed_a_s8_words(m, k, t->s8));
+    std::vector<std::int8_t> pb8(runtime_kernels::packed_b_s8_bytes(k, n, t->s8));
+    runtime_kernels::pack_a_s8(a8.data(), m, k, t->s8, pa8.data());
+    runtime_kernels::pack_b_s8(b8.data(), k, n, t->s8, 0, panel_count(n, t->s8.nr), pb8.data());
+    double f32_tile = 0, s8_tile = 0, f32_probe = 0, s8_probe = 0;
+    for (int round = 0; round < 10; ++round) {
+      f32_tile = std::max(f32_tile, best_call_rate([&] {
+        t->gemm_f32(pa.data(), pb.data(), c.data(), m, n, k, n, false, 0,
+                    panel_count(m, t->f32.mr), nullptr, OpKind::kIdentity, 0.0);
+      }));
+      s8_tile = std::max(s8_tile, best_call_rate([&] {
+        (void)t->gemm_s8(pa8.data(), pb8.data(), c8.data(), m, n, k, n, false, 0,
+                         panel_count(m, t->s8.mr), nullptr, mult.data(), -128, 127);
+      }));
+      f32_probe = std::max(f32_probe, runtime_kernels::peak_probe_f32(t->level, 0.004));
+      s8_probe = std::max(s8_probe, runtime_kernels::peak_probe_s8(t->level, 0.004));
+    }
+    EXPECT_GE(f32_probe, f32_tile);
+    EXPECT_GE(s8_probe, s8_tile);
+    std::printf("%s: f32 tile %.1f probe %.1f GF/s, int8 tile %.1f probe %.1f Gop/s\n",
+                std::string(util::simd_level_name(t->level)).c_str(), f32_tile, f32_probe,
+                s8_tile, s8_probe);
+  }
 }
 
 TEST(Roofline, FractionClampsAndDivides) {

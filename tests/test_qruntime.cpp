@@ -147,17 +147,21 @@ TEST(QuantizedExecutor, FusedReluClampsNegative) {
   EXPECT_EQ(q.data[0], 0);  // relu(-1.0) == 0 in the integer domain
 }
 
-TEST(QuantizedExecutor, UnaryRequantTableMatchesPerElementRequant) {
-  // Relu6 and Flatten run through a 256-entry table built at prepare(); it
+TEST(QuantizedExecutor, RequantTablesMatchPerElementRequant) {
+  // Relu6 and Flatten run through a 256-entry table built at prepare(), the
+  // residual Add through a 65536-entry table over (a, b) byte pairs; each
   // must give the bytes and saturation counts of requantizing every element
-  // on its own. Hand-set scales make the Relu6 rescale saturate on purpose.
-  Graph g("unary");
+  // on its own in double. Hand-set scales make the Relu6 rescale and the
+  // Add saturate on purpose.
+  Graph g("requant");
   const NodeId in = g.add_input("x", Shape{2, 4, 8, 8});
   const NodeId r6 = g.add(OpKind::kRelu6, "r6", {in});
-  const NodeId flat = g.add(OpKind::kFlatten, "flat", {r6});
-  const double s_in = 0.05, s_r6 = 0.02, s_flat = 0.03;
+  const NodeId sum = g.add(OpKind::kAdd, "sum", {in, r6});
+  const NodeId flat = g.add(OpKind::kFlatten, "flat", {sum});
+  const double s_in = 0.05, s_r6 = 0.02, s_sum = 0.035, s_flat = 0.03;
   g.node(in).attrs.set_float("act_scale", s_in);
   g.node(r6).attrs.set_float("act_scale", s_r6);
+  g.node(sum).attrs.set_float("act_scale", s_sum);
   g.node(flat).attrs.set_float("act_scale", s_flat);
   Rng rng(47);
   const Tensor x(Shape{2, 4, 8, 8}, rng.normal_vector(512));
@@ -166,17 +170,21 @@ TEST(QuantizedExecutor, UnaryRequantTableMatchesPerElementRequant) {
   const QTensor got = exec.run_single(x);
 
   const QTensor qx = quantize_fixed(x, s_in);
-  std::uint64_t sat = 0;
+  std::uint64_t sat = 0, add_sat = 0;
   std::vector<std::int8_t> want(qx.data.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     const std::int8_t mid = runtime_kernels::requant_clamped(
         static_cast<double>(qx.data[i]) * (s_in / s_r6), 0, 127, sat);  // 6/0.02 > 127
-    want[i] = runtime_kernels::requant_clamped(static_cast<double>(mid) * (s_r6 / s_flat), -128,
-                                               127, sat);
+    const std::int8_t added = runtime_kernels::requant_clamped(
+        (static_cast<double>(qx.data[i]) * s_in + static_cast<double>(mid) * s_r6) / s_sum, -128,
+        127, add_sat);
+    want[i] = runtime_kernels::requant_clamped(static_cast<double>(added) * (s_sum / s_flat),
+                                               -128, 127, sat);
   }
   EXPECT_EQ(got.data, want);
   EXPECT_GT(sat, 0u);
-  EXPECT_EQ(exec.saturations(), sat);
+  EXPECT_GT(add_sat, 0u);
+  EXPECT_EQ(exec.saturations(), sat + add_sat);
 }
 
 TEST(QuantizedExecutor, UnfoldedBatchNormRejected) {
