@@ -86,6 +86,11 @@ ctest --test-dir build-asan --output-on-failure "${JOBS}" \
   -R 'test_resilience|test_platform|test_distributed|test_util|test_obs|test_runtime|test_qruntime|test_microkernel|test_analysis|test_wasm_verifier|test_serve|test_fleet|test_safety|test_package|test_rollout'
 
 echo
+echo "== tier-1: ASan+UBSan kernel suite with SIMD force-disabled (portable tiles, int16-pair packing) =="
+VEDLIOT_FORCE_PORTABLE=1 ctest --test-dir build-asan --output-on-failure "${JOBS}" \
+  -R 'test_microkernel|test_runtime|test_qruntime'
+
+echo
 echo "== tier-1: TSan on the parallel execution-engine + serve tests =="
 cmake -B build-tsan -S . -DVEDLIOT_TSAN=ON > /dev/null
 cmake --build build-tsan "${JOBS}" --target test_util test_runtime test_qruntime test_microkernel test_serve test_fleet > /dev/null

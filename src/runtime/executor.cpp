@@ -39,7 +39,9 @@ Executor::Executor(const Graph& graph) : graph_(graph) {
       plan.fused_act = fused_act_kind(n);
       plan.fused_alpha = n.attrs.get_float_or("fused_alpha", 0.01);
     }
-    if (n.kind == OpKind::kConv2d) plan.conv = Conv2dGeometry::of(graph_, n);
+    if (n.kind == OpKind::kConv2d || n.kind == OpKind::kDense) {
+      plan.conv = Conv2dGeometry::of(graph_, n);
+    }
     if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool) {
       plan.pool_kernel = n.attrs.get_int("kernel");
       plan.pool_stride = n.attrs.get_int_or("stride", plan.pool_kernel);
@@ -222,28 +224,22 @@ void Executor::conv2d(const Node& n, const NodePlan& plan, const Tensor& in, Ten
   float* y = out.data().data();
   const auto t0 = std::chrono::steady_clock::now();
 
-  if (geo.depthwise()) {
+  if (n.kind == OpKind::kConv2d && geo.depthwise()) {
     // Direct at every dispatch level: the k*k dot per pixel has no GEMM
     // shape, so portable and SIMD runs share these exact bits.
     pfor(0, geo.batch * geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
       depthwise_f32(x, w, bias, y, geo, lo, hi, plan.fused_act, plan.fused_alpha);
     });
   } else {
-    // One im2col + GEMM per group over the batch-folded N = B·cols
-    // (kernels.hpp); at B = 1 the folded block is the NCHW slice itself.
+    // Per group: pack B panels straight from the NCHW input, then one GEMM
+    // over N = B·cols that stores its tiles straight into NCHW (kernels.hpp).
     const GemmMicrokernels& mk = *mk_;
-    const std::int64_t patch = geo.patch(), m = geo.ocg(), cols = geo.cols();
-    const std::int64_t n_cols = geo.batch * cols;
-    grow(scratch_, static_cast<std::size_t>(patch * n_cols));
+    const std::int64_t patch = geo.patch(), m = geo.ocg(), n_cols = geo.batch * geo.cols();
     grow(packed_b_, packed_b_f32_elems(patch, n_cols, mk.f32));
-    if (geo.batch > 1) grow(folded_, static_cast<std::size_t>(m * n_cols));
     for (std::int64_t g = 0; g < geo.groups; ++g) {
-      pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        im2col_f32(x, geo, g, lo, hi, scratch_.data());
-      });
       pfor(0, panel_count(n_cols, mk.f32.nr), 1,
            [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-             pack_b_f32(scratch_.data(), patch, n_cols, mk.f32, lo, hi, packed_b_.data());
+             pack_conv_b_f32(x, geo, g, mk.f32, lo, hi, packed_b_.data());
            });
       const std::vector<float>& pa =
           packed_.get_f32(n.id, g, graph_.version(), mk.f32, [&](std::vector<float>& v) {
@@ -251,14 +247,9 @@ void Executor::conv2d(const Node& n, const NodePlan& plan, const Tensor& in, Ten
             pack_a_f32(w + g * m * patch, m, patch, mk.f32, v.data());
           });
       const float* gbias = bias != nullptr ? bias + g * m : nullptr;
-      float* c = geo.batch > 1 ? folded_.data() : y + g * m * cols;
       pfor(0, panel_count(m, mk.f32.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        mk.gemm_f32(pa.data(), packed_b_.data(), c, m, n_cols, patch, n_cols,
-                    /*col_major_store=*/false, lo, hi, gbias, plan.fused_act, plan.fused_alpha);
-      });
-      if (geo.batch == 1) continue;
-      pfor(0, geo.batch * m, 16, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        unfold_output(folded_.data(), geo, g, lo, hi, y);
+        mk.gemm_f32(pa.data(), packed_b_.data(), y + g * m * geo.cols(), m, n_cols, patch,
+                    geo.output_map(), lo, hi, gbias, plan.fused_act, plan.fused_alpha);
       });
     }
   }
@@ -270,55 +261,12 @@ void Executor::conv2d(const Node& n, const NodePlan& plan, const Tensor& in, Ten
 void Executor::execute_node(const Node& n, const NodePlan& plan,
                             const std::vector<const Tensor*>& ins, Tensor& out) {
   switch (n.kind) {
-    case OpKind::kConv2d: {
-      if (n.weights.empty()) throw ExecError("Conv2d " + n.name + " has no weights");
-      conv2d(n, plan, *ins.at(0), out);
-      break;
-    }
+    case OpKind::kConv2d:
     case OpKind::kDense: {
-      if (n.weights.empty()) throw ExecError("Dense " + n.name + " has no weights");
-      const Tensor& in = *ins.at(0);
-      const float* x = in.data().data();
-      const float* w = n.weights[0].data().data();
-      const float* bias = n.weights.size() > 1 ? n.weights[1].data().data() : nullptr;
-      float* y = out.data().data();
-      const std::int64_t N = in.shape().dim(0);
-      const std::int64_t F = in.shape().dim(1);
-      const std::int64_t U = n.out_shape.dim(1);
-      const auto t0 = std::chrono::steady_clock::now();
-      // One GEMM for all lanes over (m=U, n=N, k=F); a [1 x F] input is its
-      // own transpose, so the singleton path skips the transposing copy.
-      using namespace runtime_kernels;
-      const float* xin = x;
-      if (N > 1) {
-        grow(scratch_, static_cast<std::size_t>(N * F));
-        for (std::int64_t b = 0; b < N; ++b) {
-          for (std::int64_t f = 0; f < F; ++f) {
-            scratch_[static_cast<std::size_t>(f * N + b)] = x[b * F + f];
-          }
-        }
-        xin = scratch_.data();
+      if (n.weights.empty()) {
+        throw ExecError(std::string(op_name(n.kind)) + " " + n.name + " has no weights");
       }
-      // The column-major store writes the [N x U] layout directly. Every
-      // lane occupies one slot of a zero-padded tile, so its bits are the
-      // same in a batch-1 or a batch-8 panel.
-      const GemmMicrokernels& mk = *mk_;
-      grow(packed_b_, packed_b_f32_elems(F, N, mk.f32));
-      pfor(0, panel_count(N, mk.f32.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        pack_b_f32(xin, F, N, mk.f32, lo, hi, packed_b_.data());
-      });
-      const std::vector<float>& pa =
-          packed_.get_f32(n.id, 0, graph_.version(), mk.f32, [&](std::vector<float>& v) {
-            v.resize(packed_a_f32_elems(U, F, mk.f32));
-            pack_a_f32(w, U, F, mk.f32, v.data());
-          });
-      pfor(0, panel_count(U, mk.f32.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        mk.gemm_f32(pa.data(), packed_b_.data(), y, U, N, F, /*ldc=*/U, /*col_major_store=*/true,
-                    lo, hi, bias, plan.fused_act, plan.fused_alpha);
-      });
-      const auto t1 = std::chrono::steady_clock::now();
-      record_gemm(std::chrono::duration<double>(t1 - t0).count(),
-                  2.0 * static_cast<double>(N) * static_cast<double>(U) * static_cast<double>(F));
+      conv2d(n, plan, *ins.at(0), out);
       break;
     }
     case OpKind::kBatchNorm: {

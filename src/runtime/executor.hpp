@@ -6,11 +6,12 @@
 /// "host CPU". Since PR 3 it is a real execution engine rather than a naive
 /// interpreter:
 ///
-///  - Conv2D runs as im2col + the dispatch level's GEMM microkernel
-///    (microkernel.hpp) with a fused bias+activation epilogue, one GEMM per
-///    group with the batch folded into N (kernels.hpp); depthwise
+///  - Conv2D runs as the dispatch level's GEMM microkernel (microkernel.hpp)
+///    with a fused bias+activation epilogue: per group, B panels packed
+///    straight from the NCHW input and one GEMM with the batch folded into
+///    N that stores straight into NCHW (kernels.hpp); depthwise
 ///    convolutions run the direct depthwise kernel over (sample, channel).
-///    Dense runs the same microkernel. Every dispatch level, portable
+///    Dense is the same route as a 1x1 conv. Every dispatch level, portable
 ///    included, has one such route per op.
 ///  - Conv/Dense/BatchNorm/pool/elementwise kernels partition their output
 ///    rows/channels over a util::ThreadPool. Accumulation order within each
@@ -117,11 +118,12 @@ class Executor {
     double bn_eps = 1e-5;
     std::int64_t pool_kernel = 0, pool_stride = 0, pool_pad = 0;
     std::int64_t upsample_scale = 1;
-    runtime_kernels::Conv2dGeometry conv;  ///< valid for kConv2d nodes
+    runtime_kernels::Conv2dGeometry conv;  ///< valid for kConv2d and kDense nodes
   };
 
   void execute_node(const Node& n, const NodePlan& plan,
                     const std::vector<const Tensor*>& ins, Tensor& out);
+  /// Conv2D, and Dense as the 1x1 conv its plan's geometry describes.
   void conv2d(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out);
   Tensor alloc_output(const Node& n);
   void prepare_arena();
@@ -145,9 +147,7 @@ class Executor {
   std::vector<float> arena_;  ///< one slab; node buffers are planner offsets
   std::map<NodeId, std::size_t> arena_offset_;  ///< float offset into arena_
   ArenaStats arena_stats_;
-  std::vector<float> scratch_;   ///< folded im2col matrix / transposed dense input
   std::vector<float> packed_b_;  ///< microkernel B panels, grown on demand
-  std::vector<float> folded_;    ///< batch > 1 folded conv output, before NCHW scatter
 
   // Runtime SIMD dispatch: requested level, the level the current run
   // resolved to, and that level's microkernel table.

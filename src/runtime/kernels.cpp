@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "graph/graph.hpp"
 
@@ -28,7 +27,13 @@ float apply_activation(float x, OpKind kind, double alpha) {
 Conv2dGeometry Conv2dGeometry::of(const Graph& g, const Node& n) {
   Conv2dGeometry geo;
   const Shape& in = g.node(n.inputs.at(0)).out_shape;
-  geo.batch = n.out_shape.n();
+  geo.batch = n.out_shape.dim(0);
+  if (n.kind == OpKind::kDense) {
+    geo.in_c = in.dim(1);
+    geo.in_h = geo.in_w = geo.out_h = geo.out_w = 1;
+    geo.out_c = n.out_shape.dim(1);
+    return geo;
+  }
   geo.in_c = in.c();
   geo.in_h = in.h();
   geo.in_w = in.w();
@@ -45,71 +50,6 @@ Conv2dGeometry Conv2dGeometry::of(const Graph& g, const Node& n) {
 double Conv2dGeometry::macs() const {
   return static_cast<double>(batch) * static_cast<double>(out_c) *
          static_cast<double>(cols()) * static_cast<double>(patch());
-}
-
-namespace {
-
-/// Shared im2col: one packed row per (ic, kh, kw) patch tap, one column per
-/// output pixel of each sample (sample b's pixels are column block b).
-/// Interior kh rows are contiguous memcpy-able runs when stride == 1; the
-/// generic path below is simple strided loads with zero fill at the borders
-/// (correct for every stride/pad combination).
-template <typename T>
-void im2col_rows(const T* in, const Conv2dGeometry& g, std::int64_t group, std::int64_t row_lo,
-                 std::int64_t row_hi, T* col) {
-  const std::int64_t icg = g.icg(), k = g.kernel, OH = g.out_h, OW = g.out_w;
-  const std::int64_t IH = g.in_h, IW = g.in_w;
-  const std::int64_t cols = g.cols();
-  for (std::int64_t rb = row_lo * g.batch; rb < row_hi * g.batch; ++rb) {
-    const std::int64_t row = rb / g.batch, b = rb % g.batch;
-    const std::int64_t ic = row / (k * k);
-    const std::int64_t kh = (row / k) % k;
-    const std::int64_t kw = row % k;
-    const std::int64_t in_c = group * icg + ic;
-    const T* plane = in + ((b * g.in_c + in_c) * IH) * IW;
-    T* dst = col + rb * cols;
-    for (std::int64_t oh = 0; oh < OH; ++oh) {
-      const std::int64_t ih = oh * g.stride - g.pad + kh;
-      if (ih < 0 || ih >= IH) {
-        std::memset(dst + oh * OW, 0, static_cast<std::size_t>(OW) * sizeof(T));
-        continue;
-      }
-      const T* src_row = plane + ih * IW;
-      T* dst_row = dst + oh * OW;
-      const std::int64_t iw0 = -g.pad + kw;
-      if (g.stride == 1) {
-        // valid source range [max(0,-iw0), min(OW, IW-iw0))
-        const std::int64_t lo = std::max<std::int64_t>(0, -iw0);
-        const std::int64_t hi = std::min<std::int64_t>(OW, IW - iw0);
-        if (lo > 0) std::memset(dst_row, 0, static_cast<std::size_t>(lo) * sizeof(T));
-        if (hi > lo) {
-          std::memcpy(dst_row + lo, src_row + iw0 + lo,
-                      static_cast<std::size_t>(hi - lo) * sizeof(T));
-        }
-        if (hi < OW) {
-          std::memset(dst_row + std::max(hi, lo), 0,
-                      static_cast<std::size_t>(OW - std::max(hi, lo)) * sizeof(T));
-        }
-      } else {
-        for (std::int64_t ow = 0; ow < OW; ++ow) {
-          const std::int64_t iw = ow * g.stride + iw0;
-          dst_row[ow] = (iw >= 0 && iw < IW) ? src_row[iw] : T{0};
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void im2col_f32(const float* in, const Conv2dGeometry& g, std::int64_t group,
-                std::int64_t row_lo, std::int64_t row_hi, float* col) {
-  im2col_rows(in, g, group, row_lo, row_hi, col);
-}
-
-void im2col_s8(const std::int8_t* in, const Conv2dGeometry& g, std::int64_t group,
-               std::int64_t row_lo, std::int64_t row_hi, std::int8_t* col) {
-  im2col_rows(in, g, group, row_lo, row_hi, col);
 }
 
 void depthwise_f32(const float* in, const float* w, const float* bias, float* out,

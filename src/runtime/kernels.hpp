@@ -1,7 +1,7 @@
 #pragma once
 /// \file kernels.hpp
 /// \brief Compute kernels of the execution engine that sit around the GEMM
-/// microkernels (microkernel.hpp): im2col packing, direct depthwise
+/// microkernels (microkernel.hpp): the conv panel packer, direct depthwise
 /// convolution, the scalar activation epilogue and the int8 requantizer.
 ///
 /// The kernel restructuring the FPGA co-design line of work (arXiv:2504.09151)
@@ -9,10 +9,12 @@
 /// packing step plus a dense matrix multiply over packed panels, instead of
 /// a 6-deep scalar loop with per-element bounds checks.
 ///
-/// Batch folding: per group, the whole batch packs into one column matrix
-/// [patch x B·cols] (sample b owns column block b), so one GEMM with N =
-/// B·H·W serves every sample; unfold_output scatters the result into NCHW
-/// (at B = 1 it already is NCHW).
+/// Two steps per group, no intermediate matrix: pack_conv_b_* writes the
+/// GEMM's B panels straight from the NCHW input (the bytes an im2col
+/// matrix packed into the tile layout would give), and the GEMM stores its
+/// tiles straight into NCHW through Conv2dGeometry::output_map. The batch
+/// folds into N: sample b owns columns [b·cols, (b+1)·cols), so one GEMM
+/// with N = B·H·W serves every sample.
 ///
 /// Determinism contract: every kernel accumulates each output element over a
 /// fixed order, so results are bitwise identical no matter how the channel
@@ -23,10 +25,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "graph/op.hpp"
+#include "runtime/microkernel.hpp"
 
 namespace vedliot {
 class Graph;
@@ -80,7 +82,9 @@ struct Conv2dGeometry {
   std::int64_t out_c = 0, out_h = 0, out_w = 0;
   std::int64_t kernel = 1, stride = 1, pad = 0, groups = 1;
 
-  /// Geometry of Conv2D node \p n from its attributes and input shape.
+  /// Geometry of Conv2D node \p n from its attributes and input shape. A
+  /// Dense node [N x F] -> [N x U] is the 1x1 conv of an [N, F, 1, 1] input
+  /// with U output channels, so both ops share one GEMM route.
   static Conv2dGeometry of(const Graph& g, const Node& n);
 
   std::int64_t icg() const { return in_c / groups; }   ///< input channels / group
@@ -88,38 +92,32 @@ struct Conv2dGeometry {
   std::int64_t patch() const { return icg() * kernel * kernel; }  ///< GEMM K
   std::int64_t cols() const { return out_h * out_w; }  ///< pixels per sample; GEMM N = batch·cols
   bool depthwise() const { return groups == in_c && ocg() == 1; }
+  /// GEMM output map of one group's [ocg() x batch·cols()] product into the
+  /// NCHW output, starting at the group's first channel.
+  OutputMap output_map() const { return {cols(), cols(), out_c * cols(), 1}; }
   /// Multiply-accumulates of the full convolution (all batches).
   double macs() const;
 };
 
-/// Pack rows [row_lo, row_hi) of group \p group's batch-folded column matrix:
-/// row-major [patch() x batch·cols()], where sample b fills column block
-/// [b·cols(), (b+1)·cols()); out-of-image taps become zero. Row-ranged so
-/// packing itself can be partitioned.
-void im2col_f32(const float* in, const Conv2dGeometry& g, std::int64_t group,
-                std::int64_t row_lo, std::int64_t row_hi, float* col);
-void im2col_s8(const std::int8_t* in, const Conv2dGeometry& g, std::int64_t group,
-               std::int64_t row_lo, std::int64_t row_hi, std::int8_t* col);
-
-/// Scatter rows [lo, hi) of group \p group's folded GEMM output [ocg() x
-/// batch·cols()] into the NCHW output; row i is (sample i / ocg(), channel
-/// i % ocg()). At batch 1 the folded block already is the NCHW slice, so the
-/// executors store in place and skip this.
-template <typename T>
-void unfold_output(const T* folded, const Conv2dGeometry& g, std::int64_t group,
-                   std::int64_t lo, std::int64_t hi, T* out) {
-  const std::int64_t m = g.ocg(), cols = g.cols();
-  for (std::int64_t i = lo; i < hi; ++i) {
-    const std::int64_t b = i / m, r = i % m;
-    std::memcpy(out + (b * g.out_c + group * m + r) * cols, folded + (r * g.batch + b) * cols,
-                static_cast<std::size_t>(cols) * sizeof(T));
-  }
-}
+/// Pack column panels [panel_lo, panel_hi) of group \p group's GEMM B
+/// operand straight from the NCHW input: B is [patch() x batch·cols()], row
+/// (ic, kh, kw) of the patch, column b·cols() + oh·out_w + ow, and
+/// out-of-image taps are zero. Panel q holds columns [q·nr, q·nr + nr) in
+/// the tile's layout: f32 k-major [k][nr], int8 one kgroup-byte run per
+/// (k group, column), stored as b ^ 0x80 (u8 b + 128) for quads; K and
+/// column tails pad with zero (0x80 for quads). Panel-ranged so packing
+/// partitions over the thread pool.
+void pack_conv_b_f32(const float* in, const Conv2dGeometry& g, std::int64_t group,
+                     const MicrokernelTile& t, std::int64_t panel_lo, std::int64_t panel_hi,
+                     float* packed);
+void pack_conv_b_s8(const std::int8_t* in, const Conv2dGeometry& g, std::int64_t group,
+                    const MicrokernelTile& t, std::int64_t panel_lo, std::int64_t panel_hi,
+                    std::int8_t* packed);
 
 /// Direct depthwise convolution (groups == channels) over the flattened
-/// (sample, channel) range [bc_lo, bc_hi): im2col degenerates to a k*k dot
-/// per pixel, so packing overhead is pure loss — keep it direct. Float
-/// accumulation in fixed tap order; bias may be null.
+/// (sample, channel) range [bc_lo, bc_hi): the GEMM lowering degenerates to
+/// a k*k dot per pixel, so packing overhead is pure loss — keep it direct.
+/// Float accumulation in fixed tap order; bias may be null.
 void depthwise_f32(const float* in, const float* w, const float* bias, float* out,
                    const Conv2dGeometry& g, std::int64_t bc_lo, std::int64_t bc_hi, OpKind act,
                    double alpha);

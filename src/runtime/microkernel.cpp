@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <vector>
 
 #include "runtime/kernels.hpp"
 
@@ -42,43 +43,59 @@ std::int64_t k_groups(std::int64_t k, const MicrokernelTile& t) {
   return (k + t.kgroup - 1) / t.kgroup;
 }
 
+/// Output-map offsets of tile columns j0 .. j0 + jv − 1, walked with
+/// counters (no division per column). Returns true, with only col[0] set,
+/// when the tile lies inside one segment at unit column stride, so its
+/// rows store contiguously.
+bool tile_columns(const OutputMap& out, std::int64_t j0, std::int64_t jv, std::int64_t* col) {
+  std::int64_t seg = j0 / out.seg, i = j0 % out.seg;
+  col[0] = seg * out.seg_stride + i * out.col_stride;
+  if (out.col_stride == 1 && i + jv <= out.seg) return true;
+  for (std::int64_t j = 1; j < jv; ++j) {
+    if (++i == out.seg) i = 0, ++seg;
+    col[j] = seg * out.seg_stride + i * out.col_stride;
+  }
+  return false;
+}
+
 /// Store the valid region of one f32 accumulator tile, applying the fused
 /// activation scalar-wise — shared across levels so SIMD and portable
 /// epilogues are the same math on every lane.
 template <std::int64_t MR, std::int64_t NR>
-void store_tile_f32(const float* tile, float* c, std::int64_t ldc, bool col_major,
-                    std::int64_t m0, std::int64_t j0, std::int64_t mv, std::int64_t jv,
-                    OpKind act, double alpha) {
+void store_tile_f32(const float* tile, float* c, const OutputMap& out, std::int64_t m0,
+                    std::int64_t j0, std::int64_t mv, std::int64_t jv, OpKind act,
+                    double alpha) {
+  const auto value = [&](float v) {
+    return act == OpKind::kIdentity ? v : apply_activation(v, act, alpha);
+  };
+  std::int64_t col[NR];
+  const bool run = tile_columns(out, j0, jv, col);
   for (std::int64_t r = 0; r < mv; ++r) {
     const float* row = tile + r * NR;
-    for (std::int64_t j = 0; j < jv; ++j) {
-      const float v = act == OpKind::kIdentity ? row[j] : apply_activation(row[j], act, alpha);
-      if (col_major) {
-        c[(j0 + j) * ldc + (m0 + r)] = v;
-      } else {
-        c[(m0 + r) * ldc + (j0 + j)] = v;
-      }
+    float* crow = c + (m0 + r) * out.row_stride;
+    if (run) {
+      for (std::int64_t j = 0; j < jv; ++j) crow[col[0] + j] = value(row[j]);
+    } else {
+      for (std::int64_t j = 0; j < jv; ++j) crow[col[j]] = value(row[j]);
     }
   }
 }
 
 template <std::int64_t MR, std::int64_t NR>
-std::uint64_t store_tile_s8(const std::int32_t* tile, std::int8_t* c, std::int64_t ldc,
-                            bool col_major, std::int64_t m0, std::int64_t j0, std::int64_t mv,
-                            std::int64_t jv, const double* mult, std::int32_t q_lo,
-                            std::int32_t q_hi) {
+std::uint64_t store_tile_s8(const std::int32_t* tile, std::int8_t* c, const OutputMap& out,
+                            std::int64_t m0, std::int64_t j0, std::int64_t mv, std::int64_t jv,
+                            const double* mult, std::int32_t q_lo, std::int32_t q_hi) {
   std::uint64_t saturations = 0;
+  std::int64_t col[NR];
+  const bool run = tile_columns(out, j0, jv, col);
   for (std::int64_t r = 0; r < mv; ++r) {
     const std::int32_t* row = tile + r * NR;
+    std::int8_t* crow = c + (m0 + r) * out.row_stride;
     const double m_mult = mult[m0 + r];
     for (std::int64_t j = 0; j < jv; ++j) {
       const std::int8_t q =
           requant_clamped(static_cast<double>(row[j]) * m_mult, q_lo, q_hi, saturations);
-      if (col_major) {
-        c[(j0 + j) * ldc + (m0 + r)] = q;
-      } else {
-        c[(m0 + r) * ldc + (j0 + j)] = q;
-      }
+      crow[run ? col[0] + j : col[j]] = q;
     }
   }
   return saturations;
@@ -90,9 +107,8 @@ std::uint64_t store_tile_s8(const std::int32_t* tile, std::int8_t* c, std::int64
 /// ascending k order from the bias.
 template <std::int64_t MR, std::int64_t NR>
 void gemm_f32_scalar(const float* pa, const float* pb, float* c, std::int64_t m, std::int64_t n,
-                     std::int64_t k, std::int64_t ldc, bool col_major_store,
-                     std::int64_t panel_lo, std::int64_t panel_hi, const float* bias, OpKind act,
-                     double alpha) {
+                     std::int64_t k, const OutputMap& out, std::int64_t panel_lo,
+                     std::int64_t panel_hi, const float* bias, OpKind act, double alpha) {
   const std::int64_t n_panels = panel_count(n, NR);
   for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
     const std::int64_t m0 = p * MR;
@@ -118,7 +134,7 @@ void gemm_f32_scalar(const float* pa, const float* pb, float* c, std::int64_t m,
           }
         }
       }
-      store_tile_f32<MR, NR>(acc, c, ldc, col_major_store, m0, j0, mv, jv, act, alpha);
+      store_tile_f32<MR, NR>(acc, c, out, m0, j0, mv, jv, act, alpha);
     }
   }
 }
@@ -128,8 +144,8 @@ void gemm_f32_scalar(const float* pa, const float* pb, float* c, std::int64_t m,
 /// b[2kp+1][j] in exact int32 — the arithmetic of one madd_epi16 step.
 template <std::int64_t MR, std::int64_t NR>
 std::uint64_t gemm_s8_scalar(const std::int32_t* pa, const std::int8_t* pb, std::int8_t* c,
-                             std::int64_t m, std::int64_t n, std::int64_t k, std::int64_t ldc,
-                             bool col_major_store, std::int64_t panel_lo, std::int64_t panel_hi,
+                             std::int64_t m, std::int64_t n, std::int64_t k,
+                             const OutputMap& out, std::int64_t panel_lo, std::int64_t panel_hi,
                              const std::int32_t* bias, const double* mult, std::int32_t q_lo,
                              std::int32_t q_hi) {
   const std::int64_t n_panels = panel_count(n, NR);
@@ -163,8 +179,7 @@ std::uint64_t gemm_s8_scalar(const std::int32_t* pa, const std::int8_t* pb, std:
           }
         }
       }
-      saturations += store_tile_s8<MR, NR>(acc, c, ldc, col_major_store, m0, j0, mv, jv, mult,
-                                           q_lo, q_hi);
+      saturations += store_tile_s8<MR, NR>(acc, c, out, m0, j0, mv, jv, mult, q_lo, q_hi);
     }
   }
   return saturations;
@@ -203,21 +218,24 @@ VEDLIOT_TARGET_AVX2 inline std::uint64_t store_row16(__m256i lo, __m256i hi, dou
   return saturations;
 }
 
-/// Epilogue of the x86 int8 tiles (MR x 16 accumulators in ymm pairs):
-/// full row-major rows go through store_row16, column tails and the
-/// col-major Dense store through the scalar store_tile_s8.
+/// Epilogue of the x86 int8 tiles (MR x 16 accumulators in ymm pairs): a
+/// full tile inside one output segment with unit column stride stores its
+/// rows through store_row16; column tails, tiles that cross a segment
+/// (sample) boundary and strided maps take the scalar store_tile_s8.
 template <std::int64_t MR>
 VEDLIOT_TARGET_AVX2 __attribute__((always_inline)) inline std::uint64_t store_acc_s8(
-    const __m256i (&acc)[MR][2], std::int8_t* c, std::int64_t ldc, bool col_major,
-    std::int64_t m0, std::int64_t j0, std::int64_t mv, std::int64_t jv, const double* mult,
-    std::int32_t q_lo, std::int32_t q_hi) {
-  if (!col_major && jv == 16) {
+    const __m256i (&acc)[MR][2], std::int8_t* c, const OutputMap& out, std::int64_t m0,
+    std::int64_t j0, std::int64_t mv, std::int64_t jv, const double* mult, std::int32_t q_lo,
+    std::int32_t q_hi) {
+  std::int64_t col[16];
+  if (jv == 16 && tile_columns(out, j0, jv, col)) {
+    std::int8_t* base = c + col[0];
     std::uint64_t saturations = 0;
 #pragma GCC unroll 8
     for (std::int64_t r = 0; r < MR; ++r) {
       if (r >= mv) break;
       saturations += store_row16(acc[r][0], acc[r][1], mult[m0 + r], q_lo, q_hi,
-                                 c + (m0 + r) * ldc + j0);
+                                 base + (m0 + r) * out.row_stride);
     }
     return saturations;
   }
@@ -227,14 +245,15 @@ VEDLIOT_TARGET_AVX2 __attribute__((always_inline)) inline std::uint64_t store_ac
     _mm256_store_si256(reinterpret_cast<__m256i*>(tile + r * 16), acc[r][0]);
     _mm256_store_si256(reinterpret_cast<__m256i*>(tile + r * 16 + 8), acc[r][1]);
   }
-  return store_tile_s8<MR, 16>(tile, c, ldc, col_major, m0, j0, mv, jv, mult, q_lo, q_hi);
+  _mm256_zeroupper();  // baseline scalar epilogue next, as in gemm_f32_avx2
+  return store_tile_s8<MR, 16>(tile, c, out, m0, j0, mv, jv, mult, q_lo, q_hi);
 }
 
 VEDLIOT_TARGET_AVX2 void gemm_f32_avx2(const float* pa, const float* pb, float* c,
                                        std::int64_t m, std::int64_t n, std::int64_t k,
-                                       std::int64_t ldc, bool col_major_store,
-                                       std::int64_t panel_lo, std::int64_t panel_hi,
-                                       const float* bias, OpKind act, double alpha) {
+                                       const OutputMap& out, std::int64_t panel_lo,
+                                       std::int64_t panel_hi, const float* bias, OpKind act,
+                                       double alpha) {
   constexpr std::int64_t MR = 6, NR = 16;
   const std::int64_t n_panels = panel_count(n, NR);
   for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
@@ -272,18 +291,23 @@ VEDLIOT_TARGET_AVX2 void gemm_f32_avx2(const float* pa, const float* pb, float* 
         _mm256_store_ps(tile + r * NR, acc[r][0]);
         _mm256_store_ps(tile + r * NR + 8, acc[r][1]);
       }
-      store_tile_f32<MR, NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, act, alpha);
+      // The scalar epilogue is baseline (SSE) code that calls out per
+      // element: clean the upper ymm state first rather than rely on the
+      // compiler placing vzeroupper, or every SSE instruction there pays
+      // the dirty-upper penalty (an f32 conv with a fused Relu ran 100x
+      // slower when GCC left it out).
+      _mm256_zeroupper();
+      store_tile_f32<MR, NR>(tile, c, out, m0, j0, mv, jv, act, alpha);
     }
   }
 }
 
 VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std::int8_t* pb,
                                                std::int8_t* c, std::int64_t m, std::int64_t n,
-                                               std::int64_t k, std::int64_t ldc,
-                                               bool col_major_store, std::int64_t panel_lo,
-                                               std::int64_t panel_hi, const std::int32_t* bias,
-                                               const double* mult, std::int32_t q_lo,
-                                               std::int32_t q_hi) {
+                                               std::int64_t k, const OutputMap& out,
+                                               std::int64_t panel_lo, std::int64_t panel_hi,
+                                               const std::int32_t* bias, const double* mult,
+                                               std::int32_t q_lo, std::int32_t q_hi) {
   constexpr std::int64_t MR = 4, NR = 16;
   const std::int64_t n_panels = panel_count(n, NR);
   const std::int64_t k_pairs = (k + 1) / 2;
@@ -319,8 +343,7 @@ VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std
           acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, bhi));
         }
       }
-      saturations += store_acc_s8<MR>(acc, c, ldc, col_major_store, m0, j0, mv, jv, mult, q_lo,
-                                      q_hi);
+      saturations += store_acc_s8<MR>(acc, c, out, m0, j0, mv, jv, mult, q_lo, q_hi);
     }
   }
   return saturations;
@@ -332,9 +355,9 @@ VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std
 /// (the correction words after the panels), so the sum is bias + Σ a·b.
 VEDLIOT_TARGET_AVXVNNI std::uint64_t gemm_s8_avxvnni(
     const std::int32_t* pa, const std::int8_t* pb, std::int8_t* c, std::int64_t m,
-    std::int64_t n, std::int64_t k, std::int64_t ldc, bool col_major_store,
-    std::int64_t panel_lo, std::int64_t panel_hi, const std::int32_t* bias, const double* mult,
-    std::int32_t q_lo, std::int32_t q_hi) {
+    std::int64_t n, std::int64_t k, const OutputMap& out, std::int64_t panel_lo,
+    std::int64_t panel_hi, const std::int32_t* bias, const double* mult, std::int32_t q_lo,
+    std::int32_t q_hi) {
   constexpr std::int64_t MR = 6, NR = 16;
   const std::int64_t n_panels = panel_count(n, NR);
   const std::int64_t k_quads = (k + 3) / 4;
@@ -370,8 +393,7 @@ VEDLIOT_TARGET_AVXVNNI std::uint64_t gemm_s8_avxvnni(
           acc[r][1] = _mm256_dpbusd_avx_epi32(acc[r][1], b1, av);
         }
       }
-      saturations += store_acc_s8<MR>(acc, c, ldc, col_major_store, m0, j0, mv, jv, mult, q_lo,
-                                      q_hi);
+      saturations += store_acc_s8<MR>(acc, c, out, m0, j0, mv, jv, mult, q_lo, q_hi);
     }
   }
   return saturations;
@@ -404,9 +426,8 @@ inline void interleave16(const std::int8_t* const* rows, std::int64_t kgroup, __
 #if defined(VEDLIOT_HAVE_NEON)
 
 void gemm_f32_neon(const float* pa, const float* pb, float* c, std::int64_t m, std::int64_t n,
-                   std::int64_t k, std::int64_t ldc, bool col_major_store,
-                   std::int64_t panel_lo, std::int64_t panel_hi, const float* bias, OpKind act,
-                   double alpha) {
+                   std::int64_t k, const OutputMap& out, std::int64_t panel_lo,
+                   std::int64_t panel_hi, const float* bias, OpKind act, double alpha) {
   constexpr std::int64_t MR = 4, NR = 8;
   const std::int64_t n_panels = panel_count(n, NR);
   for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
@@ -438,12 +459,156 @@ void gemm_f32_neon(const float* pa, const float* pb, float* c, std::int64_t m, s
         vst1q_f32(tile + r * NR, acc[r][0]);
         vst1q_f32(tile + r * NR + 4, acc[r][1]);
       }
-      store_tile_f32<MR, NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, act, alpha);
+      store_tile_f32<MR, NR>(tile, c, out, m0, j0, mv, jv, act, alpha);
     }
   }
 }
 
 #endif  // VEDLIOT_HAVE_NEON
+
+using U8x16 = std::uint8_t __attribute__((vector_size(16)));
+inline U8x16 load16(const std::uint8_t* p) {
+  U8x16 v;
+  std::memcpy(&v, p, 16);
+  return v;
+}
+
+/// Column plan of one B panel of a conv group, built once per panel so the
+/// row walk does no division: each column's input offset at tap (ic 0,
+/// kh 0, kw 0), the runs of columns whose inputs lie `stride` apart (one
+/// output row, or several where they abut in the input), and per tap which
+/// columns read inside the image. Panels are at most 16 columns wide.
+class ConvPanel {
+ public:
+  static constexpr std::int64_t kMaxRuns = 8;
+
+  ConvPanel(const Conv2dGeometry& g, std::int64_t group, std::int64_t nr)
+      : g_(g), nr_(nr), plane_(g.in_h * g.in_w), total_(g.batch * g.in_c * plane_),
+        base_(group * g.icg() * plane_), tap_off_(g.kernel * g.kernel),
+        row_ok_(g.kernel * 16), col_ok_(g.kernel * 16), kind_(tap_off_.size()),
+        lane_(tap_off_.size() * 16), mask_(tap_off_.size() * kMaxRuns * 16) {
+    for (std::size_t t = 0; t < tap_off_.size(); ++t) {
+      const auto kh = static_cast<std::int64_t>(t) / g.kernel;
+      tap_off_[t] = kh * g.in_w + static_cast<std::int64_t>(t) % g.kernel;
+    }
+  }
+
+  /// Lay out panel q: columns [q·nr, q·nr + nr) of the group's B operand.
+  void build(std::int64_t q) {
+    const std::int64_t cols = g_.cols(), j0 = q * nr_;
+    const std::int64_t jv = std::min(nr_, g_.batch * cols - j0);
+    std::int64_t b = j0 / cols, oh = j0 % cols / g_.out_w, ow = j0 % g_.out_w;
+    std::int64_t ih0[16] = {}, iw0[16] = {}, run_of[16] = {};
+    runs_ = 0;
+    for (std::int64_t j = 0; j < jv; ++j) {
+      ih0[j] = oh * g_.stride - g_.pad;
+      iw0[j] = ow * g_.stride - g_.pad;
+      off_[j] = base_ + (b * g_.in_c * g_.in_h + ih0[j]) * g_.in_w + iw0[j];
+      if (j == 0 || off_[j] - off_[j - 1] != g_.stride) {
+        if (runs_ < kMaxRuns) start_[runs_] = off_[j] - g_.stride * j;
+        ++runs_;
+      }
+      run_of[j] = runs_ - 1;
+      if (++ow == g_.out_w) {
+        ow = 0;
+        if (++oh == g_.out_h) oh = 0, ++b;
+      }
+    }
+    // Lane j of run r's window reads start_[r] + stride·j, which is off_[j]
+    // for the run's own columns.
+    windowed_ = g_.stride <= 2 && runs_ <= kMaxRuns;
+    if (windowed_) {
+      win_lo_ = *std::min_element(start_, start_ + runs_);
+      win_hi_ = *std::max_element(start_, start_ + runs_) + g_.stride * nr_;
+    }
+    const auto inside = [](std::int64_t v, std::int64_t extent) {
+      return static_cast<std::uint64_t>(v) < static_cast<std::uint64_t>(extent);
+    };
+    // A tap's in-image columns are those of its kernel row and column.
+    const std::int64_t k = g_.kernel;
+    for (std::int64_t i = 0; i < k; ++i) {
+      for (std::int64_t j = 0; j < 16; ++j) {
+        row_ok_[i * 16 + j] = j < jv && inside(ih0[j] + i, g_.in_h) ? 0xFF : 0;
+        col_ok_[i * 16 + j] = inside(iw0[j] + i, g_.in_w) ? 0xFF : 0;
+      }
+    }
+    U8x16 run_mask[kMaxRuns] = {};
+    for (std::int64_t j = 0; windowed_ && j < jv; ++j) run_mask[run_of[j]][j] = 0xFF;
+    for (std::int64_t kh = 0, t = 0; kh < k; ++kh) {
+      for (std::int64_t kw = 0; kw < k; ++kw, ++t) {
+        const U8x16 lane = load16(row_ok_.data() + kh * 16) & load16(col_ok_.data() + kw * 16);
+        std::memcpy(lane_.data() + t * 16, &lane, 16);
+        std::uint64_t half[2];
+        std::memcpy(half, &lane, 16);
+        const bool all = nr_ == 16 ? (half[0] & half[1]) == ~0ull : half[0] == ~0ull;
+        const bool none = (half[0] | half[1]) == 0;
+        kind_[static_cast<std::size_t>(t)] = all ? kAll : none ? kNone : kSome;
+        for (std::int64_t r = 0; windowed_ && runs_ > 1 && r < runs_; ++r) {
+          const U8x16 m = lane & run_mask[r];
+          std::memcpy(mask_.data() + (t * kMaxRuns + r) * 16, &m, 16);
+        }
+      }
+    }
+  }
+
+  /// Row (ic, tap) of the panel: a pointer straight into \p in when its nr
+  /// inputs are contiguous and in-image, else \p buf filled with the
+  /// in-image inputs and zeros.
+  template <typename T>
+  const T* row(const T* in, std::int64_t ic, std::int64_t tap, T* buf) const {
+    const auto t = static_cast<std::size_t>(tap);
+    const std::uint8_t* lane = lane_.data() + t * 16;
+    const std::int64_t row_off = ic * plane_ + tap_off_[t];
+    if (kind_[t] == kNone) {
+      std::fill_n(buf, nr_, T{0});
+      return buf;
+    }
+    // Every run's window lies inside the input: load whole windows, keep
+    // the in-image lanes of each run.
+    const bool window = windowed_ && win_lo_ + row_off >= 0 && win_hi_ + row_off <= total_;
+    if (window && runs_ == 1 && kind_[t] == kAll && g_.stride == 1) {
+      return in + start_[0] + row_off;
+    }
+#if defined(VEDLIOT_HAVE_X86)
+    if constexpr (sizeof(T) == 1) {
+      if (window && nr_ == 16) {
+        const __m128i even = _mm_set1_epi16(0x00FF);
+        __m128i acc = _mm_setzero_si128();
+        for (std::int64_t r = 0; r < runs_; ++r) {
+          const auto* p = reinterpret_cast<const __m128i*>(in + start_[r] + row_off);
+          __m128i v = _mm_loadu_si128(p);
+          if (g_.stride == 2) {  // the even bytes of 32
+            const __m128i hi = _mm_loadu_si128(p + 1);
+            v = _mm_packus_epi16(_mm_and_si128(v, even), _mm_and_si128(hi, even));
+          }
+          const auto* m = reinterpret_cast<const __m128i*>(
+              runs_ == 1 ? lane : mask_.data() + (tap * kMaxRuns + r) * 16);
+          acc = _mm_or_si128(acc, _mm_and_si128(v, _mm_loadu_si128(m)));
+        }
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(buf), acc);
+        return buf;
+      }
+    }
+#endif
+    for (std::int64_t j = 0; j < nr_; ++j) buf[j] = lane[j] != 0 ? in[off_[j] + row_off] : T{0};
+    return buf;
+  }
+
+ private:
+  enum : std::uint8_t { kNone, kSome, kAll };  ///< in-image columns of a tap
+  const Conv2dGeometry& g_;
+  std::int64_t nr_, plane_, total_, base_;
+  std::vector<std::int64_t> tap_off_;  ///< kh·in_w + kw per tap
+  std::vector<std::uint8_t> row_ok_;   ///< [kh][16]: 0xFF where the column's row kh is in-image
+  std::vector<std::uint8_t> col_ok_;   ///< [kw][16]: likewise for column kw
+  std::vector<std::uint8_t> kind_;     ///< per tap
+  std::vector<std::uint8_t> lane_;     ///< [tap][16]: 0xFF where the column reads in-image
+  std::vector<std::uint8_t> mask_;     ///< [tap][run][16]: lane_ restricted to the run (runs > 1)
+  std::int64_t off_[16] = {};          ///< input offset of each column at tap (0, 0, 0)
+  std::int64_t start_[kMaxRuns] = {};  ///< window start of each run at tap (0, 0, 0)
+  std::int64_t runs_ = 0, win_lo_ = 0, win_hi_ = 0;
+  bool windowed_ = false;
+};
 
 }  // namespace
 
@@ -479,22 +644,6 @@ void pack_a_f32(const float* a, std::int64_t m, std::int64_t k, const Microkerne
   }
 }
 
-void pack_b_f32(const float* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
-                std::int64_t panel_lo, std::int64_t panel_hi, float* packed) {
-  const std::int64_t nr = t.nr;
-  for (std::int64_t q = panel_lo; q < panel_hi; ++q) {
-    float* dst = packed + q * nr * k;
-    const std::int64_t j0 = q * nr;
-    const std::int64_t jv = std::min<std::int64_t>(nr, n - j0);
-    for (std::int64_t kp = 0; kp < k; ++kp) {
-      const float* src = b + kp * n + j0;
-      float* row = dst + kp * nr;
-      std::memcpy(row, src, static_cast<std::size_t>(jv) * sizeof(float));
-      for (std::int64_t j = jv; j < nr; ++j) row[j] = 0.0f;
-    }
-  }
-}
-
 void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, const MicrokernelTile& t,
                std::int32_t* packed) {
   const std::int64_t mr = t.mr, kg = t.kgroup;
@@ -522,34 +671,49 @@ void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, const Micro
   }
 }
 
-void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
-               std::int64_t panel_lo, std::int64_t panel_hi, std::int8_t* packed) {
-  const std::int64_t nr = t.nr, kg = t.kgroup;
-  const std::int64_t groups = k_groups(k, t);
-  const std::uint8_t flip = kg == 4 ? 0x80 : 0;  // quads: u8 b + 128
+void pack_conv_b_f32(const float* in, const Conv2dGeometry& g, std::int64_t group,
+                     const MicrokernelTile& t, std::int64_t panel_lo, std::int64_t panel_hi,
+                     float* packed) {
+  const std::int64_t nr = t.nr, patch = g.patch(), taps = g.kernel * g.kernel;
+  ConvPanel panel(g, group, nr);
   for (std::int64_t q = panel_lo; q < panel_hi; ++q) {
-    const std::int64_t j0 = q * nr;
-    const std::int64_t jv = std::min<std::int64_t>(nr, n - j0);
-    for (std::int64_t g = 0; g < groups; ++g) {
-      std::int8_t* out = packed + (q * groups + g) * nr * kg;
-      const std::int8_t* rows[4] = {};
-      for (std::int64_t i = 0; i < kg; ++i) {
-        if (g * kg + i < k) rows[i] = b + (g * kg + i) * n + j0;
+    panel.build(q);
+    float* dst = packed + q * nr * patch;
+    for (std::int64_t kp = 0, ic = 0, tap = 0; kp < patch; ++kp, dst += nr) {
+      const float* src = panel.row(in, ic, tap, dst);
+      if (src != dst) std::memcpy(dst, src, static_cast<std::size_t>(nr) * sizeof(float));
+      if (++tap == taps) tap = 0, ++ic;
+    }
+  }
+}
+
+void pack_conv_b_s8(const std::int8_t* in, const Conv2dGeometry& g, std::int64_t group,
+                    const MicrokernelTile& t, std::int64_t panel_lo, std::int64_t panel_hi,
+                    std::int8_t* packed) {
+  const std::int64_t nr = t.nr, kg = t.kgroup, patch = g.patch(), taps = g.kernel * g.kernel;
+  const std::int64_t groups = k_groups(patch, t);
+  const std::uint8_t flip = kg == 4 ? 0x80 : 0;  // quads: u8 b + 128
+  ConvPanel panel(g, group, nr);
+  alignas(16) std::int8_t buf[4][16];
+  const std::int8_t zeros[16] = {};
+  for (std::int64_t q = panel_lo; q < panel_hi; ++q) {
+    panel.build(q);
+    std::int8_t* out = packed + q * groups * nr * kg;
+    for (std::int64_t kq = 0, ic = 0, tap = 0; kq < groups; ++kq, out += nr * kg) {
+      const std::int8_t* rows[4] = {zeros, zeros, zeros, zeros};
+      for (std::int64_t i = 0; i < kg && kq * kg + i < patch; ++i) {
+        rows[i] = panel.row(in, ic, tap, buf[i]);
+        if (++tap == taps) tap = 0, ++ic;
       }
 #if defined(VEDLIOT_HAVE_X86)
-      if (jv == nr && nr % 16 == 0 && (g + 1) * kg <= k) {
-        for (std::int64_t c = 0; c < nr; c += 16) {
-          const std::int8_t* chunk[4] = {rows[0] + c, rows[1] + c, rows[kg - 2] + c,
-                                         rows[kg - 1] + c};
-          interleave16(chunk, kg, _mm_set1_epi8(static_cast<char>(flip)), out + c * kg);
-        }
+      if (nr == 16) {
+        interleave16(rows, kg, _mm_set1_epi8(static_cast<char>(flip)), out);
         continue;
       }
 #endif
       for (std::int64_t j = 0; j < nr; ++j) {
         for (std::int64_t i = 0; i < kg; ++i) {
-          const std::int8_t v = (j < jv && rows[i] != nullptr) ? rows[i][j] : std::int8_t{0};
-          out[j * kg + i] = static_cast<std::int8_t>(static_cast<std::uint8_t>(v) ^ flip);
+          out[j * kg + i] = static_cast<std::int8_t>(static_cast<std::uint8_t>(rows[i][j]) ^ flip);
         }
       }
     }

@@ -11,7 +11,12 @@
 /// streams:
 ///
 ///   packed A (weights), panel p of mr rows:  [p][k][r]  (k-major, r minor)
-///   packed B (im2col/activations), panel q of nr cols: [q][k][j]
+///   packed B (activations), panel q of nr cols: [q][k][j]
+///
+/// B is packed straight from the NCHW activations (pack_conv_b_* in
+/// kernels.hpp; Dense is a 1x1 conv), and the tile stores C through an
+/// OutputMap straight into NCHW, so conv needs no im2col matrix and no
+/// output scatter.
 ///
 /// int8 packs group `kgroup` consecutive k steps into one int32 word per
 /// (k group, row) of A and one kgroup-byte run per (k group, column) of B.
@@ -47,7 +52,9 @@
 /// folds the batch into N (kernels.hpp), so one tile may hold columns of
 /// several samples, at other slots than at batch 1; tile lanes never mix
 /// and each column's op sequence is the same in every slot, so the
-/// contract holds for folded conv as well.
+/// contract holds for folded conv as well. Such a tile stores each lane
+/// through the scalar epilogue at its own sample's address, which is the
+/// vector row store's math lane for lane.
 
 #include <cstdint>
 
@@ -79,11 +86,6 @@ std::size_t packed_b_s8_bytes(std::int64_t k, std::int64_t n, const MicrokernelT
 /// tail rows). Generic over the tile, so every dispatch level shares it.
 void pack_a_f32(const float* a, std::int64_t m, std::int64_t k, const MicrokernelTile& t,
                 float* packed);
-/// Pack column panels [panel_lo, panel_hi) of the row-major [K x N] matrix
-/// into nr-column panels (zero-padded tail columns); panel-ranged so the
-/// packing itself partitions over the thread pool.
-void pack_b_f32(const float* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
-                std::int64_t panel_lo, std::int64_t panel_hi, float* packed);
 
 /// int8 A: one int32 word per (k group g, row) holds a[m][g·kg ..] in
 /// kgroup equal lanes (int16 lanes for pairs, bytes for quads); K tails pad
@@ -93,22 +95,27 @@ void pack_b_f32(const float* b, std::int64_t k, std::int64_t n, const Microkerne
 /// whose true result fits int32, so no intermediate can change it).
 void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, const MicrokernelTile& t,
                std::int32_t* packed);
-/// int8 B: the kgroup bytes (b[g·kg][j], .., b[g·kg + kg−1][j]) of each
-/// column j stored together, so one 32-byte load feeds a tile instruction
-/// kgroup k steps of several columns; quad bytes are stored as b ^ 0x80
-/// (u8 b + 128).
-void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
-               std::int64_t panel_lo, std::int64_t panel_hi, std::int8_t* packed);
+
+/// Where the GEMM stores element (r, j) of C = A·B:
+///   c[r·row_stride + (j / seg)·seg_stride + (j % seg)·col_stride].
+/// Row-major [M x N] with leading dimension ldc is {ldc, n, 0, 1}; a conv
+/// group's NCHW output is {cols, cols, out_c·cols, 1}, one segment per
+/// sample (Conv2dGeometry::output_map); the dense [batch x units] layout is
+/// the conv map at cols = 1. A tile inside one segment with col_stride 1
+/// stores whole rows; any other tile stores lane by lane.
+struct OutputMap {
+  std::int64_t row_stride = 0;
+  std::int64_t seg = 1;
+  std::int64_t seg_stride = 0;
+  std::int64_t col_stride = 1;
+};
 
 /// Row-panel range [panel_lo, panel_hi) of C = A·B (+bias, fused act) over
-/// packed operands. C is [M x N]: row-major with leading dimension ldc when
-/// !col_major_store (c[m * ldc + j], conv layout), column-scattered when
-/// col_major_store (c[j * ldc + m], the dense [batch x units] layout, which
-/// lets the dense path skip the output transpose).
+/// packed operands, stored through \p out.
 using GemmF32Fn = void (*)(const float* pa, const float* pb, float* c, std::int64_t m,
-                           std::int64_t n, std::int64_t k, std::int64_t ldc,
-                           bool col_major_store, std::int64_t panel_lo, std::int64_t panel_hi,
-                           const float* bias, OpKind act, double alpha);
+                           std::int64_t n, std::int64_t k, const OutputMap& out,
+                           std::int64_t panel_lo, std::int64_t panel_hi, const float* bias,
+                           OpKind act, double alpha);
 
 /// int8 variant with int32 accumulation from bias[m] and the
 /// requant_clamped epilogue (kernels.hpp): c = clamp(round(acc * mult[m]),
@@ -116,10 +123,9 @@ using GemmF32Fn = void (*)(const float* pa, const float* pb, float* c, std::int6
 /// range (exact, so per-chunk sums are partition-independent).
 using GemmS8Fn = std::uint64_t (*)(const std::int32_t* pa, const std::int8_t* pb,
                                    std::int8_t* c, std::int64_t m, std::int64_t n,
-                                   std::int64_t k, std::int64_t ldc, bool col_major_store,
-                                   std::int64_t panel_lo, std::int64_t panel_hi,
-                                   const std::int32_t* bias, const double* mult,
-                                   std::int32_t q_lo, std::int32_t q_hi);
+                                   std::int64_t k, const OutputMap& out, std::int64_t panel_lo,
+                                   std::int64_t panel_hi, const std::int32_t* bias,
+                                   const double* mult, std::int32_t q_lo, std::int32_t q_hi);
 
 /// One dispatch level's kernel set; every entry is always present (a level
 /// without its own tile carries another level's: NEON the portable int8

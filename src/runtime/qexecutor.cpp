@@ -61,6 +61,7 @@ void QuantizedExecutor::prepare() {
   out_scale_.clear();
   packed_.clear();
   qplans_.assign(graph_.total_nodes(), QNodePlan{});
+  const std::vector<NodeId> outputs = graph_.outputs();
   for (NodeId id : graph_.topo_order()) {
     const Node& n = graph_.node(id);
     if (n.kind == OpKind::kBatchNorm) {
@@ -83,7 +84,9 @@ void QuantizedExecutor::prepare() {
       plan.fused_unsupported = true;  // reported when the node actually runs
       plan.fused_name = fused;
     }
-    if (n.kind == OpKind::kConv2d) plan.conv = Conv2dGeometry::of(graph_, n);
+    if (n.kind == OpKind::kConv2d || n.kind == OpKind::kDense) {
+      plan.conv = Conv2dGeometry::of(graph_, n);
+    }
     const bool add = n.kind == OpKind::kAdd;
     if (add || n.kind == OpKind::kRelu || n.kind == OpKind::kRelu6 ||
         n.kind == OpKind::kIdentity || n.kind == OpKind::kFlatten) {
@@ -102,6 +105,22 @@ void QuantizedExecutor::prepare() {
                                       plan.q_hi, s);
         plan.lut_sat[u] = static_cast<std::uint8_t>(s);
       }
+    }
+    // A 256-entry node that is the only consumer of an Add (not a graph
+    // output) folds its table into the Add's, lookup for lookup, and then
+    // passes the Add's buffer on: the same bytes and saturations, one pass.
+    const bool unary =
+        n.kind == OpKind::kRelu || n.kind == OpKind::kRelu6 || n.kind == OpKind::kIdentity;
+    const NodeId src = unary ? n.inputs.at(0) : id;
+    if (unary && graph_.node(src).kind == OpKind::kAdd && graph_.consumers(src).size() == 1 &&
+        std::ranges::count(outputs, src) == 0) {
+      QNodePlan& add_plan = qplans_[static_cast<std::size_t>(src)];
+      for (std::size_t u = 0; u < add_plan.lut.size(); ++u) {
+        const auto mid = static_cast<std::uint8_t>(add_plan.lut[u]);
+        add_plan.lut_sat[u] = static_cast<std::uint8_t>(add_plan.lut_sat[u] + plan.lut_sat[mid]);
+        add_plan.lut[u] = plan.lut[mid];
+      }
+      plan.forward = true;
     }
 
     if ((n.kind != OpKind::kConv2d && n.kind != OpKind::kDense) || n.weights.empty()) continue;
@@ -195,7 +214,7 @@ QTensor QuantizedExecutor::run_single(const Tensor& input) {
       values[id] = quantize_fixed(input, out_scale_.at(id));
       continue;
     }
-    std::vector<const QTensor*> node_ins;
+    std::vector<QTensor*> node_ins;
     for (NodeId in : n.inputs) node_ins.push_back(&values.at(in));
 
     obs::ScopedSpan node_span;
@@ -231,9 +250,14 @@ QTensor QuantizedExecutor::run_single(const Tensor& input) {
   return values.at(outs.front());
 }
 
-QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const QTensor*>& ins) {
+QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<QTensor*>& ins) {
   const double so = out_scale_.at(n.id);
   const QNodePlan& plan = qplans_[static_cast<std::size_t>(n.id)];
+  if (plan.forward) {  // the producing Add already applied this node's table
+    QTensor out = std::move(*ins.at(0));
+    out.scale = so;
+    return out;
+  }
   if (plan.fused_unsupported) {
     throw Unsupported("integer executor supports fused Relu/Relu6 only, got " + plan.fused_name);
   }
@@ -250,14 +274,15 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
   std::vector<std::uint64_t> sat(std::max(1u, threads_), 0);
 
   switch (n.kind) {
-    case OpKind::kConv2d: {
+    case OpKind::kConv2d:
+    case OpKind::kDense: {
       const QTensor& x = *ins.at(0);
       const PreparedLayer& layer = prepared_.at(n.id);
       const Conv2dGeometry& geo = plan.conv;
       const std::int8_t* px = x.data.data();
       std::int8_t* py = out.data.data();
 
-      if (geo.depthwise()) {
+      if (n.kind == OpKind::kConv2d && geo.depthwise()) {
         pfor(0, geo.batch * geo.out_c, 1,
              [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
                sat[chunk] += runtime_kernels::depthwise_s8(
@@ -266,22 +291,17 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
              });
         break;
       }
-      // One im2col + GEMM per group over the batch-folded N = B·cols
-      // (kernels.hpp); at B = 1 the folded block is the NCHW slice itself.
+      // Per group: pack B panels straight from the NCHW input, then one GEMM
+      // over N = B·cols that stores its tiles straight into NCHW
+      // (kernels.hpp). Dense is the same route as a 1x1 conv.
       using namespace runtime_kernels;
       const GemmMicrokernels& mk = *mk_;
-      const std::int64_t patch = geo.patch(), m = geo.ocg(), cols = geo.cols();
-      const std::int64_t n_cols = geo.batch * cols;
-      grow(scratch_, static_cast<std::size_t>(patch * n_cols));
+      const std::int64_t patch = geo.patch(), m = geo.ocg(), n_cols = geo.batch * geo.cols();
       grow(packed_b_, packed_b_s8_bytes(patch, n_cols, mk.s8));
-      if (geo.batch > 1) grow(folded_, static_cast<std::size_t>(m * n_cols));
       for (std::int64_t g = 0; g < geo.groups; ++g) {
-        pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          im2col_s8(px, geo, g, lo, hi, scratch_.data());
-        });
         pfor(0, panel_count(n_cols, mk.s8.nr), 1,
              [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-               pack_b_s8(scratch_.data(), patch, n_cols, mk.s8, lo, hi, packed_b_.data());
+               pack_conv_b_s8(px, geo, g, mk.s8, lo, hi, packed_b_.data());
              });
         const std::int64_t base = g * m;
         const std::vector<std::int32_t>& pa = packed_.get_s8(
@@ -289,58 +309,14 @@ QTensor QuantizedExecutor::execute_node(const Node& n, const std::vector<const Q
               v.resize(packed_a_s8_words(m, patch, mk.s8));
               pack_a_s8(layer.weights.data() + base * patch, m, patch, mk.s8, v.data());
             });
-        std::int8_t* c = geo.batch > 1 ? folded_.data() : py + base * cols;
         pfor(0, panel_count(m, mk.s8.mr), 1,
              [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-               sat[chunk] += mk.gemm_s8(pa.data(), packed_b_.data(), c, m, n_cols, patch, n_cols,
-                                        /*col_major_store=*/false, lo, hi,
-                                        layer.bias.data() + base, layer.mult.data() + base, q_lo,
-                                        q_hi);
+               sat[chunk] += mk.gemm_s8(pa.data(), packed_b_.data(), py + base * geo.cols(), m,
+                                        n_cols, patch, geo.output_map(), lo, hi,
+                                        layer.bias.data() + base, layer.mult.data() + base,
+                                        q_lo, q_hi);
              });
-        if (geo.batch == 1) continue;
-        pfor(0, geo.batch * m, 16, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          unfold_output(folded_.data(), geo, g, lo, hi, py);
-        });
       }
-      break;
-    }
-
-    case OpKind::kDense: {
-      const QTensor& x = *ins.at(0);
-      const PreparedLayer& layer = prepared_.at(n.id);
-      const Shape& in_shape = graph_.node(n.inputs[0]).out_shape;
-      const auto N = in_shape.dim(0), F = in_shape.dim(1);
-      const auto U = n.out_shape.dim(1);
-      // Microkernel over (m=U, n=N, k=F) with the column-major store
-      // writing the [N x U] activation layout directly — no transposed
-      // product to scatter back. A [1 x F] input is its own transpose.
-      using namespace runtime_kernels;
-      const GemmMicrokernels& mk = *mk_;
-      const std::int8_t* bsrc = x.data.data();
-      if (N > 1) {
-        grow(scratch_, static_cast<std::size_t>(F * N));
-        for (std::int64_t b = 0; b < N; ++b) {
-          for (std::int64_t f = 0; f < F; ++f) {
-            scratch_[static_cast<std::size_t>(f * N + b)] = bsrc[b * F + f];
-          }
-        }
-        bsrc = scratch_.data();
-      }
-      grow(packed_b_, packed_b_s8_bytes(F, N, mk.s8));
-      pfor(0, panel_count(N, mk.s8.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        pack_b_s8(bsrc, F, N, mk.s8, lo, hi, packed_b_.data());
-      });
-      const std::vector<std::int32_t>& pa = packed_.get_s8(
-          n.id, 0, prepared_version_, mk.s8, [&](std::vector<std::int32_t>& v) {
-            v.resize(packed_a_s8_words(U, F, mk.s8));
-            pack_a_s8(layer.weights.data(), U, F, mk.s8, v.data());
-          });
-      pfor(0, panel_count(U, mk.s8.mr), 1,
-           [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-             sat[chunk] += mk.gemm_s8(pa.data(), packed_b_.data(), out.data.data(), U, N, F,
-                                      /*ldc=*/U, /*col_major_store=*/true, lo, hi,
-                                      layer.bias.data(), layer.mult.data(), q_lo, q_hi);
-           });
       break;
     }
 

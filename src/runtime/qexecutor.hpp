@@ -108,15 +108,19 @@ class QuantizedExecutor {
     std::int32_t q_lo = -128, q_hi = 127;   ///< fused Relu/Relu6 output clamp
     bool fused_unsupported = false;         ///< fused act the int path can't run
     std::string fused_name;                 ///< for the error message only
-    runtime_kernels::Conv2dGeometry conv;   ///< valid for kConv2d nodes
+    runtime_kernels::Conv2dGeometry conv;   ///< valid for kConv2d and kDense nodes
     /// Requant-only nodes: output byte and saturation flag per input byte,
     /// indexed by uint8(input) (Relu/Relu6/Identity/Flatten), or per input
     /// byte pair, indexed by uint8(a) << 8 | uint8(b) (Add).
     std::vector<std::int8_t> lut;
     std::vector<std::uint8_t> lut_sat;
+    /// Relu/Relu6/Identity whose table prepare() composed into the sole
+    /// producing Add's: the node forwards the Add's output unchanged.
+    bool forward = false;
   };
 
-  QTensor execute_node(const Node& n, const std::vector<const QTensor*>& ins);
+  /// Runs node \p n; a forwarding node moves its input's buffer out.
+  QTensor execute_node(const Node& n, const std::vector<QTensor*>& ins);
   /// Dispatch [begin, end) over the pool; each chunk accumulates saturation
   /// events into its own slot of \p sat (size >= threads).
   void pfor(std::int64_t begin, std::int64_t end, std::int64_t grain,
@@ -138,9 +142,7 @@ class QuantizedExecutor {
   std::size_t nodes_executed_ = 0;
   unsigned threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
-  std::vector<std::int8_t> scratch_;        ///< folded im2col / transposed dense input
   std::vector<std::int8_t> packed_b_;       ///< microkernel B panels
-  std::vector<std::int8_t> folded_;         ///< batch > 1 folded conv output
   util::SimdLevel simd_req_ = util::SimdLevel::kAuto;
   util::SimdLevel active_simd_ = util::SimdLevel::kPortable;
   const runtime_kernels::GemmMicrokernels* mk_ = nullptr;  ///< table of the current run

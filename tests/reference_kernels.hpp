@@ -3,9 +3,13 @@
 /// \brief Numerical oracles for the runtime's GEMM and convolution routes,
 /// and the list of dispatch tables to check against them.
 ///
-/// The runtime has one route per op and dtype (im2col + the dispatch
-/// level's microkernel tile, or the direct depthwise kernel). These are the
-/// naive loop nests the routes are checked against:
+/// The runtime has one route per op and dtype (B panels packed straight
+/// from the NCHW input + the dispatch level's microkernel tile storing
+/// straight into NCHW, or the direct depthwise kernel). These are the naive
+/// loop nests the routes are checked against:
+///  - the explicit lowering the packer and the mapped store replace: an
+///    im2col matrix, the tile layouts' B packers over a row-major matrix,
+///    and the scatter of a row-major GEMM result into NCHW;
 ///  - naive GEMMs in the microkernels' accumulation order (f32: ascending k
 ///    from the bias, a separate multiply and add per step; int8: exact
 ///    int32), so the portable f32 tile must match bit for bit and every
@@ -34,6 +38,85 @@ inline std::vector<const runtime_kernels::GemmMicrokernels*> all_tables() {
     if (util::simd_supported(level) && t.level == level) out.push_back(&t);
   }
   return out;
+}
+
+using runtime_kernels::Conv2dGeometry;
+using runtime_kernels::MicrokernelTile;
+using runtime_kernels::OutputMap;
+
+/// Row-major [M x N] store with leading dimension ldc, and its transpose
+/// (c[j·ldc + r], the dense [batch x units] layout).
+inline OutputMap row_major(std::int64_t ldc, std::int64_t n) { return {ldc, n, 0, 1}; }
+inline OutputMap col_major(std::int64_t ldc, std::int64_t n) { return {1, n, 0, ldc}; }
+
+/// Pack the row-major [K x N] matrix into the tile's f32 B layout: panel q
+/// of nr columns is k-major [k][nr], tail columns zero.
+inline void pack_b_f32(const float* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
+                       float* packed) {
+  for (std::int64_t q = 0; q < runtime_kernels::panel_count(n, t.nr); ++q) {
+    for (std::int64_t kp = 0; kp < k; ++kp) {
+      for (std::int64_t j = 0; j < t.nr; ++j) {
+        const std::int64_t col = q * t.nr + j;
+        packed[(q * k + kp) * t.nr + j] = col < n ? b[kp * n + col] : 0.0f;
+      }
+    }
+  }
+}
+
+/// Pack the row-major [K x N] int8 matrix into the tile's B layout: per
+/// panel and k group, the kgroup bytes of each column stored together,
+/// b ^ 0x80 for quads; K and column tails are zero before the flip.
+inline void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n,
+                      const MicrokernelTile& t, std::int8_t* packed) {
+  const std::int64_t kg = t.kgroup, groups = (k + kg - 1) / kg;
+  const std::uint8_t flip = kg == 4 ? 0x80 : 0;
+  for (std::int64_t q = 0; q < runtime_kernels::panel_count(n, t.nr); ++q) {
+    for (std::int64_t g = 0; g < groups; ++g) {
+      std::int8_t* out = packed + (q * groups + g) * t.nr * kg;
+      for (std::int64_t j = 0; j < t.nr; ++j) {
+        for (std::int64_t i = 0; i < kg; ++i) {
+          const std::int64_t row = g * kg + i, col = q * t.nr + j;
+          const std::int8_t v = row < k && col < n ? b[row * n + col] : std::int8_t{0};
+          out[j * kg + i] = static_cast<std::int8_t>(static_cast<std::uint8_t>(v) ^ flip);
+        }
+      }
+    }
+  }
+}
+
+/// Group \p group's batch-folded im2col matrix: row-major [patch x
+/// batch·cols], row (ic, kh, kw), column b·cols + oh·out_w + ow, zero for
+/// out-of-image taps.
+template <typename T>
+std::vector<T> im2col(const T* in, const Conv2dGeometry& g, std::int64_t group) {
+  const std::int64_t k = g.kernel, cols = g.cols(), n = g.batch * cols;
+  std::vector<T> col(static_cast<std::size_t>(g.patch() * n), T{0});
+  for (std::int64_t row = 0; row < g.patch(); ++row) {
+    const std::int64_t ic = row / (k * k), kh = row / k % k, kw = row % k;
+    for (std::int64_t b = 0; b < g.batch; ++b) {
+      for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+        for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+          const std::int64_t ih = oh * g.stride - g.pad + kh, iw = ow * g.stride - g.pad + kw;
+          if (ih < 0 || ih >= g.in_h || iw < 0 || iw >= g.in_w) continue;
+          col[static_cast<std::size_t>(row * n + b * cols + oh * g.out_w + ow)] =
+              in[((b * g.in_c + group * g.icg() + ic) * g.in_h + ih) * g.in_w + iw];
+        }
+      }
+    }
+  }
+  return col;
+}
+
+/// Scatter group \p group's row-major [ocg x batch·cols] GEMM result into
+/// the NCHW output.
+template <typename T>
+void unfold(const T* folded, const Conv2dGeometry& g, std::int64_t group, T* out) {
+  const std::int64_t cols = g.cols(), n = g.batch * cols;
+  for (std::int64_t r = 0; r < g.ocg(); ++r) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      out[(j / cols * g.out_c + group * g.ocg() + r) * cols + j % cols] = folded[r * n + j];
+    }
+  }
 }
 
 /// C[M x N] = A[M x K] · B[K x N] (+bias[m]) with fused activation; all

@@ -226,13 +226,17 @@ TEST(Autotune, Validation) {
 TEST(ExecutorProfile, HotspotsRankConvFirst) {
   // Per-node time is one channel: the per-op-class histograms an
   // instrumented executor records (what kenning::HostRuntime ranks).
-  Graph g = tuned_model();
+  // Width 64 on a 32x32 image, so the convs lead every other op class by
+  // milliseconds, not by an amount one scheduler preemption could flip.
+  Graph g = zoo::micro_cnn("edge", 1, 1, 32, 4, 64);
+  Rng weights(17);
+  g.materialize_weights(weights);
   obs::MetricsRegistry metrics;
   Executor exec(g);
   exec.instrument(nullptr, &metrics);
   Rng rng(5);
   for (int i = 0; i < 3; ++i) {
-    (void)testutil::exec_single(exec, g, Tensor(Shape{1, 1, 16, 16}, rng.normal_vector(256)));
+    (void)testutil::exec_single(exec, g, Tensor(Shape{1, 1, 32, 32}, rng.normal_vector(1024)));
   }
   const std::string conv = "vedliot.runtime.op.Conv2d";
   ASSERT_TRUE(metrics.has_histogram(conv));

@@ -221,7 +221,10 @@ namespace vedliot::kenning {
 namespace {
 
 TEST(HostRuntime, ReportsHotspots) {
-  Graph g = zoo::micro_cnn("hot", 1, 1, 16, 4);
+  // Width 64 on a 32x32 image: the convs do ~390 MACs per max-pooled
+  // element, so Conv2d leads the ranking by milliseconds, not by an amount
+  // one scheduler preemption could flip.
+  Graph g = zoo::micro_cnn("hot", 1, 1, 32, 4, 64);
   Rng rng(8);
   g.materialize_weights(rng);
   ModelWrapper wrapper("hot", std::move(g));
@@ -229,7 +232,7 @@ TEST(HostRuntime, ReportsHotspots) {
   Rng data_rng(9);
   for (int i = 0; i < 4; ++i) {
     Sample s;
-    s.input = Tensor(Shape{1, 1, 16, 16}, data_rng.normal_vector(256));
+    s.input = Tensor(Shape{1, 1, 32, 32}, data_rng.normal_vector(1024));
     s.label = 0;
     dataset.push_back(std::move(s));
   }

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,7 @@ namespace {
 
 using runtime_kernels::GemmMicrokernels;
 using runtime_kernels::MicrokernelTile;
+using runtime_kernels::OutputMap;
 using runtime_kernels::panel_count;
 using testref::all_tables;
 
@@ -95,16 +98,16 @@ std::vector<std::int8_t> rand_s8(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Full-range microkernel f32 GEMM over freshly packed operands.
+/// Full-range microkernel f32 GEMM over freshly packed operands, stored
+/// row-major unless \p map says otherwise.
 void mk_gemm_f32(const GemmMicrokernels& t, const float* a, const float* b, float* c,
                  std::int64_t m, std::int64_t n, std::int64_t k, const float* bias,
-                 OpKind act, double alpha, bool col_major = false, std::int64_t ldc = -1) {
+                 OpKind act, double alpha, const OutputMap* map = nullptr) {
   std::vector<float> pa(runtime_kernels::packed_a_f32_elems(m, k, t.f32));
   std::vector<float> pb(runtime_kernels::packed_b_f32_elems(k, n, t.f32));
   runtime_kernels::pack_a_f32(a, m, k, t.f32, pa.data());
-  runtime_kernels::pack_b_f32(b, k, n, t.f32, 0, panel_count(n, t.f32.nr), pb.data());
-  if (ldc < 0) ldc = col_major ? m : n;
-  t.gemm_f32(pa.data(), pb.data(), c, m, n, k, ldc, col_major, 0,
+  testref::pack_b_f32(b, k, n, t.f32, pb.data());
+  t.gemm_f32(pa.data(), pb.data(), c, m, n, k, map != nullptr ? *map : testref::row_major(n, n), 0,
              panel_count(m, t.f32.mr), bias, act, alpha);
 }
 
@@ -113,14 +116,14 @@ std::uint64_t mk_gemm_s8(const GemmMicrokernels& t, const std::int8_t* a,
                          const std::int8_t* b, std::int8_t* c, std::int64_t m,
                          std::int64_t n, std::int64_t k, const std::int32_t* bias,
                          const double* mult, std::int32_t q_lo, std::int32_t q_hi,
-                         bool col_major = false, std::int64_t ldc = -1) {
+                         const OutputMap* map = nullptr) {
   std::vector<std::int32_t> pa(runtime_kernels::packed_a_s8_words(m, k, t.s8));
   std::vector<std::int8_t> pb(runtime_kernels::packed_b_s8_bytes(k, n, t.s8));
   runtime_kernels::pack_a_s8(a, m, k, t.s8, pa.data());
-  runtime_kernels::pack_b_s8(b, k, n, t.s8, 0, panel_count(n, t.s8.nr), pb.data());
-  if (ldc < 0) ldc = col_major ? m : n;
-  return t.gemm_s8(pa.data(), pb.data(), c, m, n, k, ldc, col_major, 0,
-                   panel_count(m, t.s8.mr), bias, mult, q_lo, q_hi);
+  testref::pack_b_s8(b, k, n, t.s8, pb.data());
+  return t.gemm_s8(pa.data(), pb.data(), c, m, n, k,
+                   map != nullptr ? *map : testref::row_major(n, n), 0, panel_count(m, t.s8.mr),
+                   bias, mult, q_lo, q_hi);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,9 +278,9 @@ TEST(Microkernel, S8VectorEpilogueMatchesScalarStore) {
       std::vector<std::int8_t> row(ref.size()), col(ref.size());
       const std::uint64_t sat_row = mk_gemm_s8(*t, a.data(), b.data(), row.data(), m, n, k,
                                                bias.data(), mult.data(), q_lo, q_hi);
+      const OutputMap cm = testref::col_major(m, n);
       const std::uint64_t sat_col = mk_gemm_s8(*t, a.data(), b.data(), col.data(), m, n, k,
-                                               bias.data(), mult.data(), q_lo, q_hi,
-                                               /*col_major=*/true);
+                                               bias.data(), mult.data(), q_lo, q_hi, &cm);
       EXPECT_EQ(sat_row, sat_ref);
       EXPECT_EQ(sat_col, sat_ref);
       for (std::int64_t r = 0; r < m; ++r) {
@@ -300,8 +303,9 @@ TEST(Microkernel, ColMajorStoreIsBitwiseTransposeOfRowMajor) {
     const auto b = rand_f32(static_cast<std::size_t>(k * n), 2);
     std::vector<float> row(static_cast<std::size_t>(m * n)), col(row.size());
     mk_gemm_f32(*t, a.data(), b.data(), row.data(), m, n, k, nullptr, OpKind::kIdentity, 0.0);
+    const OutputMap cm = testref::col_major(m, n);
     mk_gemm_f32(*t, a.data(), b.data(), col.data(), m, n, k, nullptr, OpKind::kIdentity, 0.0,
-                /*col_major=*/true);
+                &cm);
     // Same arithmetic, different store address: transposed layouts are bitwise.
     for (std::int64_t r = 0; r < m; ++r) {
       for (std::int64_t j = 0; j < n; ++j) {
@@ -318,7 +322,7 @@ TEST(Microkernel, ColMajorStoreIsBitwiseTransposeOfRowMajor) {
     const auto s1 = mk_gemm_s8(*t, a8.data(), b8.data(), row8.data(), m, n, k, bias.data(),
                                mult.data(), -128, 127);
     const auto s2 = mk_gemm_s8(*t, a8.data(), b8.data(), col8.data(), m, n, k, bias.data(),
-                               mult.data(), -128, 127, /*col_major=*/true);
+                               mult.data(), -128, 127, &cm);
     EXPECT_EQ(s1, s2);
     for (std::int64_t r = 0; r < m; ++r) {
       for (std::int64_t j = 0; j < n; ++j) {
@@ -342,18 +346,18 @@ TEST(Microkernel, PanelPartitionIsBitwiseInvariant) {
     std::vector<float> pa(runtime_kernels::packed_a_f32_elems(m, k, t->f32));
     std::vector<float> pb(runtime_kernels::packed_b_f32_elems(k, n, t->f32));
     runtime_kernels::pack_a_f32(a.data(), m, k, t->f32, pa.data());
-    runtime_kernels::pack_b_f32(b.data(), k, n, t->f32, 0, panel_count(n, t->f32.nr),
-                                pb.data());
+    testref::pack_b_f32(b.data(), k, n, t->f32, pb.data());
     const std::int64_t panels = panel_count(m, t->f32.mr);
     std::vector<float> whole(static_cast<std::size_t>(m * n));
-    t->gemm_f32(pa.data(), pb.data(), whole.data(), m, n, k, n, false, 0, panels, nullptr,
+    const OutputMap rm = testref::row_major(n, n);
+    t->gemm_f32(pa.data(), pb.data(), whole.data(), m, n, k, rm, 0, panels, nullptr,
                 OpKind::kIdentity, 0.0);
     for (std::int64_t split = 1; split < panels; ++split) {
       std::vector<float> parts(whole.size(), -1.0f);
-      t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, 0, split, nullptr,
+      t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, rm, 0, split, nullptr,
                   OpKind::kIdentity, 0.0);
-      t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, split, panels,
-                  nullptr, OpKind::kIdentity, 0.0);
+      t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, rm, split, panels, nullptr,
+                  OpKind::kIdentity, 0.0);
       for (std::size_t i = 0; i < whole.size(); ++i) {
         ASSERT_EQ(std::bit_cast<std::uint32_t>(parts[i]),
                   std::bit_cast<std::uint32_t>(whole[i]))
@@ -361,6 +365,171 @@ TEST(Microkernel, PanelPartitionIsBitwiseInvariant) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Conv lowering: panels packed from NCHW, tiles stored into NCHW
+// ---------------------------------------------------------------------------
+
+runtime_kernels::Conv2dGeometry conv_geo(std::int64_t batch, std::int64_t in_c, std::int64_t in_h,
+                                         std::int64_t in_w, std::int64_t out_c,
+                                         std::int64_t kernel, std::int64_t stride,
+                                         std::int64_t pad, std::int64_t groups) {
+  runtime_kernels::Conv2dGeometry g;
+  g.batch = batch;
+  g.in_c = in_c;
+  g.in_h = in_h;
+  g.in_w = in_w;
+  g.out_c = out_c;
+  g.kernel = kernel;
+  g.stride = stride;
+  g.pad = pad;
+  g.groups = groups;
+  g.out_h = (in_h + 2 * pad - kernel) / stride + 1;
+  g.out_w = (in_w + 2 * pad - kernel) / stride + 1;
+  return g;
+}
+
+/// Non-depthwise geometries at batch 1 and 3: the 9-case grid of
+/// GemmConvMatchesDirectConv (11x9 input: border taps, strides 1 and 2,
+/// groups), 7x7 and 2x2 outputs (cols % nr != 0, cols < nr, panels across
+/// samples and output rows), a pad-0 3x3, the ResNet stem shape, and a
+/// Dense layer as the 1x1 conv of an [N, F, 1, 1] input.
+std::vector<runtime_kernels::Conv2dGeometry> packer_geometries() {
+  std::vector<runtime_kernels::Conv2dGeometry> out;
+  for (std::int64_t batch : {1, 3}) {
+    for (const auto& c : std::vector<std::array<std::int64_t, 6>>{
+             {3, 8, 3, 1, 1, 1}, {3, 8, 3, 2, 1, 1}, {4, 6, 1, 1, 0, 1}, {4, 6, 1, 2, 0, 1},
+             {8, 8, 3, 1, 0, 2}, {8, 4, 5, 2, 2, 4}, {6, 6, 3, 1, 1, 6}, {6, 6, 3, 2, 1, 6},
+             {5, 7, 7, 2, 3, 1}}) {
+      if (c[5] == c[0] && c[1] == c[0]) continue;  // depthwise: the direct kernel, no B panels
+      out.push_back(conv_geo(batch, c[0], 11, 9, c[1], c[2], c[3], c[4], c[5]));
+    }
+    out.push_back(conv_geo(batch, 5, 7, 7, 6, 3, 1, 1, 1));    // 7x7 output, 49 cols
+    out.push_back(conv_geo(batch, 9, 2, 2, 4, 3, 1, 1, 1));    // 2x2 output, 4 cols
+    out.push_back(conv_geo(batch, 6, 4, 4, 3, 1, 2, 0, 1));    // 2x2 output, stride 2
+    out.push_back(conv_geo(batch, 4, 8, 8, 5, 3, 1, 0, 1));    // pad 0: 6x6 output
+    out.push_back(conv_geo(batch, 3, 20, 20, 8, 7, 2, 3, 1));  // 7x7 stride-2 stem
+    out.push_back(conv_geo(batch * 7, 37, 1, 1, 5, 1, 1, 0, 1));  // Dense 37 -> 5
+  }
+  return out;
+}
+
+std::string geo_name(const runtime_kernels::Conv2dGeometry& g) {
+  return "b=" + std::to_string(g.batch) + " c=" + std::to_string(g.in_c) + " " +
+         std::to_string(g.in_h) + "x" + std::to_string(g.in_w) + " k=" +
+         std::to_string(g.kernel) + " s=" + std::to_string(g.stride) + " p=" +
+         std::to_string(g.pad) + " groups=" + std::to_string(g.groups);
+}
+
+TEST(ConvPacker, PanelsEqualPackedIm2colAtEveryTable) {
+  // pack_conv_b_* must write exactly the bytes the tile's B packer writes
+  // over the im2col matrix, for every k grouping and tile width, however
+  // the panel range is split across calls. The packed buffers start filled
+  // with a sentinel, so a byte the packer skips shows up too.
+  std::uint64_t seed = 700;
+  for (const auto& geo : packer_geometries()) {
+    SCOPED_TRACE(geo_name(geo));
+    const std::int64_t in_elems = geo.batch * geo.in_c * geo.in_h * geo.in_w;
+    const auto x = rand_f32(static_cast<std::size_t>(in_elems), seed++);
+    const auto x8 = rand_s8(static_cast<std::size_t>(in_elems), seed++);
+    const std::int64_t patch = geo.patch(), n = geo.batch * geo.cols();
+    for (const GemmMicrokernels* t : all_tables()) {
+      SCOPED_TRACE(util::simd_level_name(t->level));
+      for (std::int64_t group = 0; group < geo.groups; ++group) {
+        const auto col = testref::im2col(x.data(), geo, group);
+        std::vector<float> want(runtime_kernels::packed_b_f32_elems(patch, n, t->f32));
+        testref::pack_b_f32(col.data(), patch, n, t->f32, want.data());
+        const auto col8 = testref::im2col(x8.data(), geo, group);
+        std::vector<std::int8_t> want8(runtime_kernels::packed_b_s8_bytes(patch, n, t->s8));
+        testref::pack_b_s8(col8.data(), patch, n, t->s8, want8.data());
+
+        const std::int64_t panels = panel_count(n, t->f32.nr);
+        const std::int64_t panels8 = panel_count(n, t->s8.nr);
+        for (std::int64_t split : {std::int64_t{0}, std::int64_t{1}, panels / 2, panels - 1}) {
+          std::vector<float> got(want.size(), -99.0f);
+          runtime_kernels::pack_conv_b_f32(x.data(), geo, group, t->f32, 0, split, got.data());
+          runtime_kernels::pack_conv_b_f32(x.data(), geo, group, t->f32, split, panels,
+                                           got.data());
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+              << "f32 group=" << group << " split=" << split;
+        }
+        for (std::int64_t split : {std::int64_t{0}, std::int64_t{1}, panels8 / 2, panels8 - 1}) {
+          std::vector<std::int8_t> got8(want8.size(), 0x5A);
+          runtime_kernels::pack_conv_b_s8(x8.data(), geo, group, t->s8, 0, split, got8.data());
+          runtime_kernels::pack_conv_b_s8(x8.data(), geo, group, t->s8, split, panels8,
+                                          got8.data());
+          ASSERT_EQ(got8, want8) << "s8 group=" << group << " split=" << split;
+        }
+      }
+    }
+  }
+}
+
+TEST(MappedStore, NchwMapEqualsRowMajorStoreThenUnfold) {
+  // Each group's GEMM stored through Conv2dGeometry::output_map must give
+  // the bytes (f32: bits) and saturation counts of a row-major store into
+  // the folded [ocg x batch·cols] matrix scattered into NCHW afterwards.
+  // The grid has tiles that cross sample boundaries (49 and 4 columns per
+  // sample) and the Dense geometry, whose map is the col-major store.
+  std::uint64_t seed = 900, saturations = 0;
+  for (const auto& geo : packer_geometries()) {
+    SCOPED_TRACE(geo_name(geo));
+    const std::int64_t in_elems = geo.batch * geo.in_c * geo.in_h * geo.in_w;
+    const std::int64_t out_elems = geo.batch * geo.out_c * geo.cols();
+    const std::int64_t patch = geo.patch(), m = geo.ocg(), n = geo.batch * geo.cols();
+    const auto x = rand_f32(static_cast<std::size_t>(in_elems), seed++);
+    const auto x8 = rand_s8(static_cast<std::size_t>(in_elems), seed++);
+    const auto w = rand_f32(static_cast<std::size_t>(geo.out_c * patch), seed++);
+    const auto w8 = rand_s8(static_cast<std::size_t>(geo.out_c * patch), seed++);
+    const auto bias = rand_f32(static_cast<std::size_t>(geo.out_c), seed++);
+    Rng rng(seed++);
+    std::vector<std::int32_t> bias8(static_cast<std::size_t>(geo.out_c));
+    std::vector<double> mult(bias8.size());
+    for (std::size_t i = 0; i < bias8.size(); ++i) {
+      bias8[i] = static_cast<std::int32_t>(rng.uniform(-500.0, 500.0));
+      mult[i] = rng.uniform(0.0005, 0.01);  // a fair share of outputs saturate
+    }
+    for (const GemmMicrokernels* t : all_tables()) {
+      SCOPED_TRACE(util::simd_level_name(t->level));
+      std::vector<float> want(static_cast<std::size_t>(out_elems)), got(want.size(), -99.0f);
+      std::vector<std::int8_t> want8(want.size()), got8(want.size(), 0x5A);
+      std::uint64_t sat_want = 0, sat_got = 0;
+      for (std::int64_t g = 0; g < geo.groups; ++g) {
+        const auto col = testref::im2col(x.data(), geo, g);
+        const auto col8 = testref::im2col(x8.data(), geo, g);
+        const float* gb = bias.data() + g * m;
+        std::vector<float> folded(static_cast<std::size_t>(m * n));
+        mk_gemm_f32(*t, w.data() + g * m * patch, col.data(), folded.data(), m, n, patch, gb,
+                    OpKind::kRelu, 0.0);
+        testref::unfold(folded.data(), geo, g, want.data());
+        const OutputMap map = geo.output_map();
+        float* y = got.data() + g * m * geo.cols();
+        mk_gemm_f32(*t, w.data() + g * m * patch, col.data(), y, m, n, patch, gb, OpKind::kRelu,
+                    0.0, &map);
+
+        std::vector<std::int8_t> folded8(folded.size());
+        sat_want += mk_gemm_s8(*t, w8.data() + g * m * patch, col8.data(), folded8.data(), m, n,
+                               patch, bias8.data() + g * m, mult.data() + g * m, -128, 127);
+        testref::unfold(folded8.data(), geo, g, want8.data());
+        sat_got += mk_gemm_s8(*t, w8.data() + g * m * patch, col8.data(),
+                              got8.data() + g * m * geo.cols(), m, n, patch, bias8.data() + g * m,
+                              mult.data() + g * m, -128, 127, &map);
+      }
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0);
+      ASSERT_EQ(got8, want8);
+      EXPECT_EQ(sat_got, sat_want);
+      saturations += sat_want;
+      if (geo.in_h == 1 && geo.kernel == 1) {  // Dense: the NCHW map is the col-major store
+        std::vector<std::int8_t> cm8(want8.size());
+        const OutputMap cm = testref::col_major(m, n);
+        (void)mk_gemm_s8(*t, w8.data(), testref::im2col(x8.data(), geo, 0).data(), cm8.data(), m,
+                         n, patch, bias8.data(), mult.data(), -128, 127, &cm);
+        EXPECT_EQ(cm8, want8);
+      }
+    }
+  }
+  EXPECT_GT(saturations, 0u);  // the counts compared above are not all zero
 }
 
 // ---------------------------------------------------------------------------
@@ -901,19 +1070,19 @@ TEST(Roofline, EachLevelsProbeIsAtLeastItsTilesRate) {
     std::vector<float> pa(runtime_kernels::packed_a_f32_elems(m, k, t->f32));
     std::vector<float> pb(runtime_kernels::packed_b_f32_elems(k, n, t->f32));
     runtime_kernels::pack_a_f32(a.data(), m, k, t->f32, pa.data());
-    runtime_kernels::pack_b_f32(b.data(), k, n, t->f32, 0, panel_count(n, t->f32.nr), pb.data());
+    testref::pack_b_f32(b.data(), k, n, t->f32, pb.data());
     std::vector<std::int32_t> pa8(runtime_kernels::packed_a_s8_words(m, k, t->s8));
     std::vector<std::int8_t> pb8(runtime_kernels::packed_b_s8_bytes(k, n, t->s8));
     runtime_kernels::pack_a_s8(a8.data(), m, k, t->s8, pa8.data());
-    runtime_kernels::pack_b_s8(b8.data(), k, n, t->s8, 0, panel_count(n, t->s8.nr), pb8.data());
+    testref::pack_b_s8(b8.data(), k, n, t->s8, pb8.data());
     double f32_tile = 0, s8_tile = 0, f32_probe = 0, s8_probe = 0;
     for (int round = 0; round < 10; ++round) {
       f32_tile = std::max(f32_tile, best_call_rate([&] {
-        t->gemm_f32(pa.data(), pb.data(), c.data(), m, n, k, n, false, 0,
+        t->gemm_f32(pa.data(), pb.data(), c.data(), m, n, k, testref::row_major(n, n), 0,
                     panel_count(m, t->f32.mr), nullptr, OpKind::kIdentity, 0.0);
       }));
       s8_tile = std::max(s8_tile, best_call_rate([&] {
-        (void)t->gemm_s8(pa8.data(), pb8.data(), c8.data(), m, n, k, n, false, 0,
+        (void)t->gemm_s8(pa8.data(), pb8.data(), c8.data(), m, n, k, testref::row_major(n, n), 0,
                          panel_count(m, t->s8.mr), nullptr, mult.data(), -128, 127);
       }));
       f32_probe = std::max(f32_probe, runtime_kernels::peak_probe_f32(t->level, 0.004));

@@ -187,6 +187,53 @@ TEST(QuantizedExecutor, RequantTablesMatchPerElementRequant) {
   EXPECT_EQ(exec.saturations(), sat + add_sat);
 }
 
+TEST(QuantizedExecutor, AddThenUnaryTableComposesExactly) {
+  // A Relu, Relu6 or Identity that is the only consumer of an Add runs as
+  // one lookup in the composed table, and the unary node forwards the Add's
+  // buffer. Bytes and saturation counts must equal requantizing the Add and
+  // then the unary node element by element; the node still counts as run.
+  const double s_in = 0.05, s_r6 = 0.02, s_sum = 0.035, s_u = 0.03;
+  for (OpKind unary : {OpKind::kRelu, OpKind::kRelu6, OpKind::kIdentity}) {
+    SCOPED_TRACE(op_name(unary));
+    Graph g("compose");
+    const NodeId in = g.add_input("x", Shape{2, 4, 8, 8});
+    const NodeId r6 = g.add(OpKind::kRelu6, "r6", {in});
+    const NodeId sum = g.add(OpKind::kAdd, "sum", {in, r6});
+    const NodeId u = g.add(unary, "u", {sum});
+    const NodeId flat = g.add(OpKind::kFlatten, "flat", {u});
+    g.node(in).attrs.set_float("act_scale", s_in);
+    g.node(r6).attrs.set_float("act_scale", s_r6);
+    g.node(sum).attrs.set_float("act_scale", s_sum);
+    g.node(u).attrs.set_float("act_scale", s_u);
+    g.node(flat).attrs.set_float("act_scale", s_u);
+    Rng rng(48);
+    const Tensor x(Shape{2, 4, 8, 8}, rng.normal_vector(512));
+
+    QuantizedExecutor exec(g);
+    const QTensor got = exec.run_single(x);
+    EXPECT_EQ(exec.nodes_executed(), 4u);
+
+    const std::int32_t u_lo = unary == OpKind::kIdentity ? -128 : 0;
+    const std::int32_t u_hi = 127;  // Relu6 too: 6 / s_u = 200 is past the int8 range
+    const QTensor qx = quantize_fixed(x, s_in);
+    std::uint64_t sat = 0;
+    std::vector<std::int8_t> want(qx.data.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const auto a = static_cast<double>(qx.data[i]);
+      const std::int8_t mid = runtime_kernels::requant_clamped(a * (s_in / s_r6), 0, 127, sat);
+      const std::int8_t added = runtime_kernels::requant_clamped(
+          (a * s_in + static_cast<double>(mid) * s_r6) / s_sum, -128, 127, sat);
+      const std::int8_t out = runtime_kernels::requant_clamped(
+          static_cast<double>(added) * (s_sum / s_u), u_lo, u_hi, sat);
+      want[i] = runtime_kernels::requant_clamped(static_cast<double>(out), -128, 127, sat);
+    }
+    EXPECT_EQ(got.data, want);
+    EXPECT_DOUBLE_EQ(got.scale, s_u);
+    EXPECT_GT(sat, 0u);
+    EXPECT_EQ(exec.saturations(), sat);
+  }
+}
+
 TEST(QuantizedExecutor, UnfoldedBatchNormRejected) {
   Graph g = zoo::micro_cnn("m", 1, 1, 16, 4);  // contains BN
   Rng rng(1);
@@ -280,9 +327,9 @@ TEST(QuantizedExecutor, ResNet50ParallelBitwiseIdenticalToSerial) {
 }
 
 /// The int8 conv route of QuantizedExecutor at one dispatch table: the
-/// direct depthwise kernel over (sample, channel), or per group one
-/// batch-folded im2col + packed panels + the table's GEMM tile over N =
-/// batch·cols, scattered into NCHW. Returns the saturation count.
+/// direct depthwise kernel over (sample, channel), or per group B panels
+/// packed straight from the NCHW input and the table's GEMM tile over N =
+/// batch·cols storing straight into NCHW. Returns the saturation count.
 std::uint64_t route_conv_s8(const runtime_kernels::GemmMicrokernels& mk,
                             const runtime_kernels::Conv2dGeometry& geo, const std::int8_t* x,
                             const std::int8_t* w, const std::int32_t* bias, const double* mult,
@@ -292,26 +339,22 @@ std::uint64_t route_conv_s8(const runtime_kernels::GemmMicrokernels& mk,
     return depthwise_s8(x, w, bias, y, geo, 0, geo.batch * geo.out_c, mult, q_lo, q_hi);
   }
   const std::int64_t patch = geo.patch(), m = geo.ocg(), n = geo.batch * geo.cols();
-  std::vector<std::int8_t> col(static_cast<std::size_t>(patch * n));
   std::vector<std::int8_t> pb(packed_b_s8_bytes(patch, n, mk.s8));
   std::vector<std::int32_t> pa(packed_a_s8_words(m, patch, mk.s8));
-  std::vector<std::int8_t> folded(static_cast<std::size_t>(m * n));
   std::uint64_t sat = 0;
   for (std::int64_t g = 0; g < geo.groups; ++g) {
-    im2col_s8(x, geo, g, 0, patch, col.data());
-    pack_b_s8(col.data(), patch, n, mk.s8, 0, panel_count(n, mk.s8.nr), pb.data());
+    pack_conv_b_s8(x, geo, g, mk.s8, 0, panel_count(n, mk.s8.nr), pb.data());
     pack_a_s8(w + g * m * patch, m, patch, mk.s8, pa.data());
-    sat += mk.gemm_s8(pa.data(), pb.data(), folded.data(), m, n, patch, n,
-                      /*col_major_store=*/false, 0, panel_count(m, mk.s8.mr), bias + g * m,
-                      mult + g * m, q_lo, q_hi);
-    unfold_output(folded.data(), geo, g, 0, geo.batch * m, y);
+    sat += mk.gemm_s8(pa.data(), pb.data(), y + g * m * geo.cols(), m, n, patch,
+                      geo.output_map(), 0, panel_count(m, mk.s8.mr), bias + g * m, mult + g * m,
+                      q_lo, q_hi);
   }
   return sat;
 }
 
 TEST(QuantizedExecutor, GemmConvBitwiseMatchesDirectConv) {
   // Unlike the float path, int8 GEMM accumulates in int32: integer addition
-  // is associative, so the im2col + microkernel route must agree with the
+  // is associative, so the packed-panel microkernel route must agree with the
   // direct loop bit for bit, saturation counts included, over a geometry
   // grid covering kernel size, stride, padding and groups, at every
   // dispatch level this binary has.
