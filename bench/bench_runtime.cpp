@@ -6,8 +6,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <memory>
+#include <span>
+#include <string>
 
 #include "bench_common.hpp"
 #include "graph/cost.hpp"
@@ -43,41 +46,60 @@ struct SweepPoint {
   double lane_speedup_vs_batch1 = 0;
 };
 
-/// One deployment graph of the sweep, shared by both dtypes so the f32 and
+/// The deployment graph of the sweep, shared by both dtypes so the f32 and
 /// int8 rows compare the same model: BN folded, activations fused, and
-/// calibrated (the f32 executor ignores the scales).
+/// calibrated (the f32 executor ignores the scales). Built at batch 1; one
+/// session runs it at every batch of the sweep.
 struct SweepModel {
   Graph graph;
-  Tensor input;
-  double ops = 0;  ///< 2 x MACs of one pass
+  Tensor input[2];   ///< one feed per kBatches entry
+  double ops = 0;    ///< 2 x MACs of one batch-1 pass
 };
 
-SweepModel sweep_model(std::int64_t batch, std::int64_t image) {
-  Graph g = zoo::resnet50(batch, 10, image);
+SweepModel sweep_model(std::span<const std::int64_t> batches, std::int64_t image) {
+  Graph g = zoo::resnet50(1, 10, image);
   Rng rng(7);
   g.materialize_weights(rng);
   opt::FuseBatchNormPass bn;
   bn.run(g);
   opt::FuseActivationPass act;
   act.run(g);
-  const Shape in{batch, 3, image, image};
+  const Shape lane{1, 3, image, image};
   std::vector<Tensor> calib;
   Rng calib_rng(9);
   for (int i = 0; i < 2; ++i) {
-    calib.emplace_back(in, calib_rng.normal_vector(static_cast<std::size_t>(in.numel())));
+    calib.emplace_back(lane, calib_rng.normal_vector(static_cast<std::size_t>(lane.numel())));
   }
   opt::calibrate_activations(g, calib, Calibration::kMinMax);
-  Rng data_rng(8);
-  Tensor x(in, data_rng.normal_vector(static_cast<std::size_t>(in.numel())));
   const double ops = 2.0 * static_cast<double>(graph_cost(g).macs);
-  return {std::move(g), std::move(x), ops};
+  SweepModel m{std::move(g), {}, ops};
+  Rng data_rng(8);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const Shape in{batches[b], 3, image, image};
+    m.input[b] = Tensor(in, data_rng.normal_vector(static_cast<std::size_t>(in.numel())));
+  }
+  return m;
 }
 
-double run_seconds(runtime::Session& session, const SweepModel& m) {
+double run_seconds(runtime::Session& session, const SweepModel& m, int b) {
   const std::string& feed = m.graph.node(m.graph.inputs().front()).name;
   const auto t0 = std::chrono::steady_clock::now();
-  (void)session.run({{feed, m.input}});
+  (void)session.run({{feed, m.input[b]}});
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// The CPU model string of this host ("unknown" where /proc/cpuinfo has none).
+std::string cpu_model_name() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0 || line.rfind("Model", 0) == 0) {
+      const auto colon = line.find(':');
+      const auto start = line.find_first_not_of(' ', colon + 1);
+      if (colon != std::string::npos && start != std::string::npos) return line.substr(start);
+    }
+  }
+  return "unknown";
 }
 
 /// Fill the spread and median fields of \p p from its timed runs.
@@ -89,9 +111,9 @@ void set_times(SweepPoint& p, std::vector<double> times) {
 }
 
 /// ResNet-50 engine sweep (dtype x batch x dispatch level x threads) against
-/// the measured host roofline. Each configuration times its batch-1 and
-/// batch-8 sessions in interleaved pairs, so host drift moves both sides of
-/// the per-lane speedup alike. Writes the machine-readable baseline to
+/// the measured host roofline. Each configuration's one session times its
+/// batch-1 and batch-8 runs in interleaved pairs, so host drift moves both
+/// sides of the per-lane speedup alike. Writes the machine-readable baseline to
 /// $VEDLIOT_BENCH_RUNTIME_JSON when set — the file checked in as
 /// BENCH_runtime.json.
 void engine_sweep() {
@@ -120,8 +142,7 @@ void engine_sweep() {
   const std::string portable_name{util::simd_level_name(util::SimdLevel::kPortable)};
   const std::string simd_name{
       util::simd_level_name(util::resolve_simd_level(util::SimdLevel::kAuto))};
-  const SweepModel models[2] = {sweep_model(kBatches[0], kImage),
-                                sweep_model(kBatches[1], kImage)};
+  const SweepModel model = sweep_model(kBatches, kImage);
 
   // points[b]: the rows of batch kBatches[b], in sweep order.
   std::vector<SweepPoint> points[2];
@@ -145,12 +166,11 @@ void engine_sweep() {
         runtime::RunOptions o;
         o.exec.threads = t;
         if (portable) o.exec.simd = util::SimdLevel::kPortable;
-        std::unique_ptr<runtime::Session> s[2] = {make(models[0].graph, o),
-                                                  make(models[1].graph, o)};
+        const std::unique_ptr<runtime::Session> s = make(model.graph, o);
         std::vector<double> times[2], lane_ratio;
-        for (int b = 0; b < 2; ++b) (void)run_seconds(*s[b], models[b]);  // warm-up
+        for (int b = 0; b < 2; ++b) (void)run_seconds(*s, model, b);  // warm-up
         for (int i = 0; i < kRepeats; ++i) {
-          for (int b = 0; b < 2; ++b) times[b].push_back(run_seconds(*s[b], models[b]));
+          for (int b = 0; b < 2; ++b) times[b].push_back(run_seconds(*s, model, b));
           lane_ratio.push_back(times[0].back() /
                                (times[1].back() / static_cast<double>(kBatches[1])));
         }
@@ -160,7 +180,7 @@ void engine_sweep() {
           set_times(p[b], times[b]);
           const double ref = portable ? p[b].seconds : points[b].front().seconds;
           p[b].speedup_vs_portable = ref / p[b].seconds;
-          p[b].achieved = models[b].ops / p[b].seconds / 1e9;
+          p[b].achieved = model.ops * static_cast<double>(kBatches[b]) / p[b].seconds / 1e9;
           p[b].roof_fraction = p[b].achieved / roof_for(dtype, p[b].simd, t);
         }
       }
@@ -200,6 +220,12 @@ void engine_sweep() {
     std::fprintf(f, "  \"image\": %lld,\n  \"repeats\": %d,\n", static_cast<long long>(kImage),
                  kRepeats);
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw_threads);
+    const char* commit = std::getenv("VEDLIOT_COMMIT");
+    std::fprintf(f,
+                 "  \"cpu_model\": \"%s\",\n  \"build_type\": \"%s\",\n  \"compiler\": \"%s\",\n"
+                 "  \"commit\": \"%s\",\n",
+                 obs::json_escape(cpu_model_name()).c_str(), VEDLIOT_BUILD_TYPE, VEDLIOT_COMPILER,
+                 obs::json_escape(commit != nullptr ? commit : "unknown").c_str());
     std::fprintf(f, "  \"baseline\": \"portable dispatch, threads=1\",\n");
     std::fprintf(f, "  \"graph\": \"BN folded, activations fused, calibrated (f32 and int8)\",\n");
     std::fprintf(f,

@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", r.to_json().c_str());
   }
 
-  // Execute-mode soak: real tensors through the bucket sessions, with the
+  // Execute-mode soak: real tensors through the replicas' sessions, with the
   // batched-vs-singleton CRC equality check live.
   {
     FleetSoakConfig cfg = base;

@@ -139,8 +139,9 @@ class Graph {
 
 /// Deep copy of \p graph with every Input node's leading (batch) dimension
 /// set to \p batch, shapes re-inferred throughout. Weights are shared by
-/// value (copied), so the result executes identically per batch lane; the
-/// dynamic batcher builds one rebatched clone per power-of-two bucket width.
+/// value (copied), so the result executes identically per batch lane. The
+/// executor takes the batch from its feeds, so serving needs no clone; the
+/// fleet's analytic cost model (hw::estimate) prices each bucket width on one.
 Graph rebatched(const Graph& graph, std::int64_t batch);
 
 }  // namespace vedliot

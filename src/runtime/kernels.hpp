@@ -37,7 +37,7 @@ struct Node;
 
 namespace vedliot::runtime_kernels {
 
-/// Scalar activation used by both executors' epilogues. kIdentity passes
+/// Scalar activation of the f32 epilogues. kIdentity passes
 /// through; alpha feeds LeakyRelu.
 float apply_activation(float x, OpKind kind, double alpha);
 

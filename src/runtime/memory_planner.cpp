@@ -10,7 +10,7 @@
 namespace vedliot {
 
 MemoryPlan plan_memory_with_order(const Graph& g, std::span<const NodeId> order, DType act_dtype,
-                                  std::int64_t alignment) {
+                                  std::int64_t alignment, std::span<const NodeId> forwards) {
   VEDLIOT_CHECK(alignment > 0, "alignment must be positive");
   // Order validation (coverage, duplicates, topological soundness) and
   // lifetimes both come from the shared dataflow analysis: a buffer is born
@@ -25,7 +25,15 @@ MemoryPlan plan_memory_with_order(const Graph& g, std::span<const NodeId> order,
   // offset where they don't collide with any already-placed, lifetime-
   // overlapping buffer.
   std::vector<BufferPlan> todo;
+  std::map<NodeId, std::size_t> buffer_of;  // node -> its buffer in todo
   for (const analysis::LiveInterval& iv : df.intervals()) {
+    if (std::ranges::count(forwards, iv.node) > 0) {
+      const std::size_t at = buffer_of.at(g.node(iv.node).inputs.front());
+      todo[at].last_use = std::max(todo[at].last_use, iv.last_use);
+      buffer_of[iv.node] = at;
+      continue;
+    }
+    buffer_of[iv.node] = todo.size();
     BufferPlan b;
     b.node = iv.node;
     b.size = align_up(iv.bytes);

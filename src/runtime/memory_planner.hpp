@@ -43,9 +43,13 @@ struct MemoryPlan {
 MemoryPlan plan_memory(const Graph& g, DType act_dtype, std::int64_t alignment = 64);
 
 /// Plan against an explicit execution order (must be a valid topological
-/// order over exactly the live nodes; checked).
+/// order over exactly the live nodes; checked). Each node in \p forwards
+/// passes its first input's buffer on instead of writing one of its own (the
+/// int8 executor's Add→unary composition): it gets no buffer, and its
+/// input's buffer lives until the forwarding node's last use.
 MemoryPlan plan_memory_with_order(const Graph& g, std::span<const NodeId> order, DType act_dtype,
-                                  std::int64_t alignment = 64);
+                                  std::int64_t alignment = 64,
+                                  std::span<const NodeId> forwards = {});
 
 /// A memory-aware execution order: greedy Kahn scheduling that prefers
 /// ready nodes which free more input bytes than they allocate — shrinking

@@ -4,7 +4,7 @@
 ///
 /// The blocked-GEMM recipe from *Performance Analysis of Matrix
 /// Multiplication for Deep Learning on the Edge*: the loop nest in the
-/// executors keeps operands resident, and the inner
+/// executor keeps operands resident, and the inner
 /// mr x nr tile is computed by an architecture-specific microkernel that
 /// holds the whole accumulator tile in vector registers. Both operands are
 /// repacked into panel layouts so the microkernel reads two contiguous

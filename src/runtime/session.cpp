@@ -1,7 +1,6 @@
 #include "runtime/session.hpp"
 
 #include "runtime/executor.hpp"
-#include "runtime/qexecutor.hpp"
 
 namespace vedliot::runtime {
 
@@ -17,81 +16,41 @@ void check_batch(const std::map<std::string, Tensor>& feeds, std::int64_t max_ba
   }
 }
 
-class FloatSession final : public Session {
+/// The one Session implementation: an Executor of either dtype behind the
+/// admission check.
+class ExecutorSession final : public Session {
  public:
-  FloatSession(const Graph& graph, const RunOptions& options)
-      : graph_(graph), options_(options), exec_(graph) {
-    exec_.instrument(options_.trace, options_.metrics);
+  ExecutorSession(const Graph& graph, const RunOptions& options, DType dtype)
+      : graph_(graph), exec_(graph, dtype) {
+    exec_.instrument(options.trace, options.metrics);
     exec_.set_keep_activations(false);
-    exec_.set_threads(options_.exec.threads);
-    exec_.set_simd(options_.exec.simd);
+    set_exec_config(options.exec);
   }
 
   RunResult run(const std::map<std::string, Tensor>& feeds) override {
-    check_batch(feeds, options_.exec.max_batch);
+    check_batch(feeds, exec_config_.max_batch);
     RunResult result;
     result.outputs = exec_.run(feeds);
-    result.nodes_executed = exec_.nodes_executed();
-    return result;
-  }
-
-  const Graph& graph() const override { return graph_; }
-  std::string backend() const override { return "float-reference"; }
-  void set_exec_config(const ExecConfig& exec) override {
-    options_.exec = exec;
-    exec_.set_threads(exec.threads);
-    exec_.set_simd(exec.simd);
-  }
-  const ExecConfig& exec_config() const override { return options_.exec; }
-
- private:
-  const Graph& graph_;
-  RunOptions options_;
-  Executor exec_;
-};
-
-class QuantizedSession final : public Session {
- public:
-  QuantizedSession(const Graph& graph, const RunOptions& options)
-      : graph_(graph), options_(options), exec_(graph) {
-    exec_.instrument(options_.trace, options_.metrics);
-    exec_.set_threads(options_.exec.threads);
-    exec_.set_simd(options_.exec.simd);
-  }
-
-  RunResult run(const std::map<std::string, Tensor>& feeds) override {
-    check_batch(feeds, options_.exec.max_batch);
-    const auto inputs = graph_.inputs();
-    VEDLIOT_CHECK(inputs.size() == 1, "int8 session requires exactly one graph input");
-    const std::string& input_name = graph_.node(inputs.front()).name;
-    const auto it = feeds.find(input_name);
-    if (it == feeds.end()) throw ExecError("missing feed for input '" + input_name + "'");
-    if (feeds.size() != 1) {
-      throw ExecError("int8 session takes exactly one feed, got " +
-                      std::to_string(feeds.size()));
-    }
-
-    RunResult result;
-    const QTensor q = exec_.run_single(it->second);
-    result.outputs.emplace(graph_.node(graph_.outputs().front()).name, q.dequantize());
     result.nodes_executed = exec_.nodes_executed();
     result.saturations = exec_.saturations();
     return result;
   }
 
   const Graph& graph() const override { return graph_; }
-  std::string backend() const override { return "int8"; }
+  std::string backend() const override {
+    return exec_.dtype() == DType::kINT8 ? "int8" : "float-reference";
+  }
   void set_exec_config(const ExecConfig& exec) override {
-    options_.exec = exec;
+    exec_config_ = exec;
     exec_.set_threads(exec.threads);
     exec_.set_simd(exec.simd);
   }
-  const ExecConfig& exec_config() const override { return options_.exec; }
+  const ExecConfig& exec_config() const override { return exec_config_; }
 
  private:
   const Graph& graph_;
-  RunOptions options_;
-  QuantizedExecutor exec_;
+  ExecConfig exec_config_;
+  Executor exec_;
 };
 
 }  // namespace
@@ -113,16 +72,9 @@ std::vector<Tensor> Session::run_batch(std::span<const Tensor> inputs) {
   const auto graph_inputs = graph().inputs();
   VEDLIOT_CHECK(graph_inputs.size() == 1, "run_batch requires exactly one graph input");
   VEDLIOT_CHECK(!inputs.empty(), "run_batch needs at least one input");
-  const Node& in_node = graph().node(graph_inputs.front());
-  const Tensor stacked = stack_batch(inputs);
-  // The graph's input shape encodes its built batch; a mismatched stack is
-  // a batcher bug (the batcher pads partial batches up to the built width).
-  if (stacked.shape() != in_node.out_shape) {
-    throw ExecError("run_batch stacked " + stacked.shape().to_string() +
-                    " does not match graph input " + in_node.out_shape.to_string() +
-                    " (pad partial batches to the built width)");
-  }
-  RunResult result = run({{in_node.name, stacked}});
+  // stack_batch checks the lanes agree; run() checks them against the graph
+  // input's lane shape and the admission cap.
+  RunResult result = run({{graph().node(graph_inputs.front()).name, stack_batch(inputs)}});
   VEDLIOT_CHECK(result.outputs.size() == 1, "run_batch requires exactly one graph output");
   return split_batch(result.outputs.begin()->second);
 }
@@ -134,12 +86,12 @@ void Session::set_max_batch(std::int64_t max_batch) {
 }
 
 std::unique_ptr<Session> make_session(const Graph& graph, const RunOptions& options) {
-  return std::make_unique<FloatSession>(graph, options);
+  return std::make_unique<ExecutorSession>(graph, options, DType::kFP32);
 }
 
 std::unique_ptr<Session> make_quantized_session(const Graph& graph,
                                                 const RunOptions& options) {
-  return std::make_unique<QuantizedSession>(graph, options);
+  return std::make_unique<ExecutorSession>(graph, options, DType::kINT8);
 }
 
 }  // namespace vedliot::runtime

@@ -2,9 +2,9 @@
 /// \file session.hpp
 /// \brief Unified run-session API over the runtime backends.
 ///
-/// A Session is the one way application code runs inference: the float
-/// reference executor and the true-integer INT8 executor sit behind the
-/// same interface, and every run can be observed through the vedliot::obs
+/// A Session is the one way application code runs inference: the execution
+/// core (executor.hpp) in f32 or true-integer INT8 sits behind the same
+/// interface, and every run can be observed through the vedliot::obs
 /// tracing/metrics sinks passed in RunOptions. Execution-resource knobs
 /// (batch cap, thread count) travel as one runtime::ExecConfig so serving
 /// controllers — the brownout ladder, the fleet batcher — adjust a live
@@ -35,8 +35,8 @@
 namespace vedliot::runtime {
 
 /// Per-session knobs; the sink pointers may be null and must outlive the
-/// session when set. Float sessions always place intermediate activations
-/// in the planner-packed arena and release them after each run.
+/// session when set. Sessions always place intermediate activations in the
+/// planner-packed arena and release them after each run.
 struct RunOptions {
   obs::Tracer* trace = nullptr;            ///< span sink for run/node spans
   obs::MetricsRegistry* metrics = nullptr; ///< counter/histogram sink
@@ -72,12 +72,12 @@ class Session {
 
   /// Batched submit path for single-input single-output graphs: stack the
   /// per-request inputs along the leading dimension, run once, and split
-  /// the output back into per-request tensors (in submission order). The
-  /// stacked batch must match the graph's built batch exactly — callers
-  /// that coalesce fewer requests pad with zero lanes and discard them
-  /// (serve::DynamicBatcher does both). Per-lane outputs are bitwise
-  /// identical to singleton runs of the same inputs: every kernel computes
-  /// each batch lane independently with a fixed accumulation order.
+  /// the output back into per-request tensors (in submission order). Plans
+  /// take the batch from the feed, so any lane count up to max_batch() runs
+  /// as is, whatever batch the graph was built at, as long as every lane has
+  /// the graph input's lane shape. Per-lane outputs are bitwise identical to
+  /// singleton runs of the same inputs: every kernel computes each batch
+  /// lane independently with a fixed accumulation order.
   std::vector<Tensor> run_batch(std::span<const Tensor> inputs);
 
   virtual const Graph& graph() const = 0;
@@ -96,12 +96,12 @@ class Session {
   std::int64_t max_batch() const { return exec_config().max_batch; }
 };
 
-/// Float reference session (wraps Executor). The graph must outlive the
+/// Float reference session (an f32 Executor). The graph must outlive the
 /// session and have materialized weights.
 std::unique_ptr<Session> make_session(const Graph& graph, const RunOptions& options = {});
 
-/// True-integer INT8 session (wraps QuantizedExecutor). The graph must be
-/// deployment-ready: weights materialized, BatchNorm folded, activations
+/// True-integer INT8 session (an int8 Executor). The graph must outlive the
+/// session and be deployment-ready: weights materialized, BatchNorm folded, activations
 /// calibrated. Throws Unsupported otherwise.
 std::unique_ptr<Session> make_quantized_session(const Graph& graph,
                                                 const RunOptions& options = {});

@@ -66,7 +66,7 @@ std::vector<NodeId> FaultInjector::parametric_nodes(const Graph& g) const {
 
 namespace {
 
-/// Per-output-channel int8 scale, matching the QuantizedExecutor's
+/// Per-output-channel int8 scale, matching the int8 executor's
 /// preparation convention (amax over the channel / 127, 1.0 for an
 /// all-zero channel).
 double int8_channel_scale(const Tensor& w, std::size_t idx) {

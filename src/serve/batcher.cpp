@@ -2,45 +2,31 @@
 
 #include <algorithm>
 
-#include "runtime/executor.hpp"
 #include "util/error.hpp"
 
 namespace vedliot::serve {
 
 DynamicBatcher::DynamicBatcher(const Graph& graph, Config config)
-    : cfg_(config), exec_(config.exec) {
-  VEDLIOT_CHECK(cfg_.max_batch >= 1, "batcher max_batch must be >= 1");
+    : exec_(config.exec) {
+  VEDLIOT_CHECK(config.max_batch >= 1, "batcher max_batch must be >= 1");
   VEDLIOT_CHECK(graph.inputs().size() == 1 && graph.outputs().size() == 1,
                 "the batcher needs a single-input single-output graph");
-  const Shape& in = graph.node(graph.inputs().front()).out_shape;
-  VEDLIOT_CHECK(in.rank() >= 1, "batcher input must be rank >= 1");
-  std::vector<std::int64_t> lane(in.dims().begin(), in.dims().end());
-  lane[0] = 1;
-  lane_shape_ = Shape(lane);
-
   for (std::int64_t w = 1;; w *= 2) {
     widths_.push_back(w);
-    graphs_.push_back(std::make_unique<Graph>(rebatched(graph, w)));
-    runtime::RunOptions opts;
-    opts.exec = exec_;
-    opts.exec.max_batch = w;  // each bucket admits exactly its own width
-    sessions_.push_back(cfg_.quantized ? runtime::make_quantized_session(*graphs_.back(), opts)
-                                       : runtime::make_session(*graphs_.back(), opts));
-    if (w >= cfg_.max_batch) break;
+    if (w >= config.max_batch) break;
   }
-  if (exec_.max_batch > 0) set_exec_config(exec_);
+  session_ = config.quantized ? runtime::make_quantized_session(graph)
+                            : runtime::make_session(graph);
+  set_exec_config(exec_);
 }
 
 void DynamicBatcher::set_exec_config(const runtime::ExecConfig& exec) {
   exec_ = exec;
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    runtime::ExecConfig e = exec;
-    // A bucket at or under the cap admits its own width; a wider bucket
-    // keeps the shrunken cap and thus refuses its own feed — the brownout
-    // shrink stays enforceable by the Session, not by batcher bookkeeping.
-    e.max_batch = exec.max_batch > 0 ? std::min(widths_[i], exec.max_batch) : widths_[i];
-    sessions_[i]->set_exec_config(e);
-  }
+  // The session admits exactly what the batcher may coalesce, so a feed
+  // wider than a shrunken cap is refused by the Session itself.
+  runtime::ExecConfig e = exec;
+  e.max_batch = effective_max_batch();
+  session_->set_exec_config(e);
 }
 
 std::int64_t DynamicBatcher::effective_max_batch() const {
@@ -57,44 +43,18 @@ std::int64_t DynamicBatcher::effective_max_batch() const {
 }
 
 runtime::Session& DynamicBatcher::bucket_session(std::int64_t width) const {
-  const auto it = std::find(widths_.begin(), widths_.end(), width);
-  if (it == widths_.end()) {
+  if (std::find(widths_.begin(), widths_.end(), width) == widths_.end()) {
     throw NotFound("no bucket of width " + std::to_string(width));
   }
-  return *sessions_[static_cast<std::size_t>(it - widths_.begin())];
+  return *session_;
 }
 
 std::vector<Tensor> DynamicBatcher::run(std::span<const Tensor> inputs) {
   VEDLIOT_CHECK(!inputs.empty(), "batcher run needs at least one input");
-  std::int64_t lanes = 0;
-  for (const Tensor& t : inputs) {
-    VEDLIOT_CHECK(t.shape().rank() == lane_shape_.rank(),
-                  "batcher input rank mismatch: " + t.shape().to_string());
-    lanes += t.shape().dim(0);
-  }
-  const std::int64_t cap = effective_max_batch();
-  if (lanes > cap) {
-    throw vedliot::ExecError("batch of " + std::to_string(lanes) + " lanes exceeds the live cap " +
-                    std::to_string(cap) + " (coalesce against effective_max_batch)");
-  }
-
-  // Smallest bucket that fits (all candidates are <= cap by construction).
-  std::size_t bucket = 0;
-  while (widths_[bucket] < lanes) ++bucket;
-  const std::int64_t width = widths_[bucket];
-
-  std::vector<Tensor> feed(inputs.begin(), inputs.end());
-  const std::int64_t pad = width - lanes;
-  if (pad > 0) {
-    std::vector<std::int64_t> dims(lane_shape_.dims().begin(), lane_shape_.dims().end());
-    dims[0] = pad;
-    feed.emplace_back(Shape(dims));  // zero lanes, discarded after the split
-  }
-
-  std::vector<Tensor> out_lanes = sessions_[bucket]->run_batch(feed);
+  // Exactly the group's lanes; the session refuses more than the live cap.
+  std::vector<Tensor> out_lanes = session_->run_batch(inputs);
   ++batches_run_;
-  lanes_run_ += static_cast<std::uint64_t>(lanes);
-  padded_lanes_ += static_cast<std::uint64_t>(pad);
+  lanes_run_ += out_lanes.size();
 
   // Reassemble per-input outputs at each input's own lane width.
   std::vector<Tensor> out;

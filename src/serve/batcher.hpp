@@ -3,22 +3,22 @@
 /// \brief Dynamic batcher: coalesces admitted requests into GEMM-friendly
 /// batched session runs with bitwise-singleton-equal outputs.
 ///
-/// The executor builds its plans against the graph's input shape, so one
-/// session cannot serve every batch width. The batcher therefore keeps a
-/// ladder of power-of-two *bucket* sessions (widths 1, 2, 4, ..., W), each
-/// over its own rebatched clone of the deployment graph. A coalesced group
-/// of n lanes runs on the smallest allowed bucket >= n, padded with zero
-/// lanes that are discarded after the split — legal because every kernel
-/// computes batch lanes independently with a fixed accumulation order, so
-/// lane i of a batched run is bitwise identical to a singleton run of the
-/// same input (the soak harness checks this by CRC).
+/// The executor's plans take the batch from the feed, so the batcher holds
+/// one session over the caller's graph and runs a coalesced group of n
+/// lanes as exactly n lanes — no padding, one copy of the (quantized)
+/// weights and packed panels per batcher. Lane i of a batched run is
+/// bitwise identical to a singleton run of the same input, because every
+/// kernel computes batch lanes independently with a fixed accumulation
+/// order (the soak harness checks this by CRC). The session reads the
+/// caller's live graph, so Graph::version() self-heal after an OTA swap or
+/// scrub repair reaches batched serving too.
 ///
-/// `max_batch` stays the knob the brownout ladder shrinks live:
-/// set_exec_config() forwards to every bucket session, capping each at
-/// min(bucket width, cap). Buckets wider than the cap would then refuse
-/// their own feeds through Session's admission check, so the batcher stops
-/// selecting them — the shrink is visible *through the Session API*, not
-/// through private batcher state (test_fleet pins this).
+/// The power-of-two width ladder (1, 2, 4, ..., W) stays the unit of the
+/// batch cap: `max_batch` is the knob the brownout ladder shrinks live, and
+/// set_exec_config() caps the session at effective_max_batch(), so a feed
+/// wider than the shrunken cap is refused by the session's own admission
+/// check — the shrink is visible *through the Session API*, not through
+/// private batcher state (test_fleet pins this).
 
 #include <cstdint>
 #include <memory>
@@ -35,12 +35,11 @@ class DynamicBatcher {
   struct Config {
     std::int64_t max_batch = 8;   ///< widest bucket (rounded up to a power of two)
     runtime::ExecConfig exec;     ///< initial envelope; exec.max_batch 0 = max_batch
-    bool quantized = false;       ///< buckets via make_quantized_session
+    bool quantized = false;       ///< session via make_quantized_session
   };
 
-  /// Builds the bucket ladder from rebatched clones of \p graph (which must
-  /// be single-input single-output with materialized weights; the clones are
-  /// owned, the original only needs to live through construction).
+  /// Builds the session over \p graph, which must be single-input
+  /// single-output with materialized weights and outlive the batcher.
   DynamicBatcher(const Graph& graph, Config config);
 
   /// Run one coalesced group. Each input tensor contributes dim-0 lanes
@@ -49,7 +48,7 @@ class DynamicBatcher {
   /// [1, effective_max_batch()] — the caller coalesces against that cap.
   std::vector<Tensor> run(std::span<const Tensor> inputs);
 
-  /// Forward a new envelope to every bucket session (see file comment).
+  /// Forward a new envelope to the session (see file comment).
   void set_exec_config(const runtime::ExecConfig& exec);
   const runtime::ExecConfig& exec_config() const { return exec_; }
 
@@ -60,24 +59,20 @@ class DynamicBatcher {
   /// Bucket widths, ascending (1, 2, 4, ..., W).
   const std::vector<std::int64_t>& bucket_widths() const { return widths_; }
 
-  /// The bucket session of exactly \p width (for inspection through the
-  /// Session API); throws NotFound for a width that is not a bucket.
+  /// The session that serves bucket \p width — the one session, for every
+  /// ladder width (for inspection through the Session API); throws NotFound
+  /// for a width that is not on the ladder.
   runtime::Session& bucket_session(std::int64_t width) const;
 
   std::uint64_t batches_run() const { return batches_run_; }
-  std::uint64_t lanes_run() const { return lanes_run_; }    ///< real lanes
-  std::uint64_t padded_lanes() const { return padded_lanes_; }
+  std::uint64_t lanes_run() const { return lanes_run_; }
 
  private:
-  Config cfg_;
   runtime::ExecConfig exec_;
   std::vector<std::int64_t> widths_;
-  std::vector<std::unique_ptr<Graph>> graphs_;  ///< rebatched clones, per bucket
-  std::vector<std::unique_ptr<runtime::Session>> sessions_;
-  Shape lane_shape_;
+  std::unique_ptr<runtime::Session> session_;
   std::uint64_t batches_run_ = 0;
   std::uint64_t lanes_run_ = 0;
-  std::uint64_t padded_lanes_ = 0;
 };
 
 }  // namespace vedliot::serve

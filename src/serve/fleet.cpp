@@ -471,7 +471,7 @@ void Fleet::launch(double t, std::size_t idx, std::vector<Ticket> group) {
       rep.name + "/box" + std::to_string(at.chassis) + "/" + at.slot;
 
   // Execute mode: synthesize each member's input from its payload handle
-  // and run the coalesced group through the bucket sessions for real.
+  // and run the coalesced group's exact lanes through the replica's session.
   std::vector<std::uint32_t> crcs(group.size(), 0);
   if (cfg_.execute) {
     std::vector<Tensor> inputs;
@@ -525,8 +525,8 @@ void Fleet::apply_brownout(double t, int delta) {
       "batch cap now " + std::to_string(effective_max_batch()), level);
   if (!cfg_.execute) return;
   // The shrink must be enforced by the runtime, not fleet bookkeeping:
-  // forward the rung's envelope through every bucket session's
-  // set_exec_config (buckets wider than the cap then refuse their feeds).
+  // forward the rung's envelope to each replica's session through
+  // set_exec_config (the session then refuses feeds wider than the cap).
   for (Replica& rep : fleet_) {
     if (!rep.retired && rep.batcher) rep.batcher->set_exec_config(rung_exec());
   }

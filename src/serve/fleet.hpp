@@ -15,13 +15,14 @@
 ///    gate, so replicas can only exist under the per-slot and per-chassis
 ///    power budgets, and every executed batch is metered against its slot;
 ///  * dynamic batching — an idle replica opens a short batch window, then
-///    coalesces queued requests (EDF order) into the smallest power-of-two
-///    bucket that fits (batcher.hpp); while a batch runs, arrivals queue
+///    coalesces queued requests (EDF order) into one batch, costed at the
+///    smallest power-of-two bucket that fits; in execute mode the batcher
+///    (batcher.hpp) runs the group's exact lanes; while a batch runs, arrivals queue
 ///    up and the next batch launches the instant the replica frees —
 ///    continuous batching without a central scheduler;
 ///  * brownout — a hysteretic ladder (brownout.hpp) shrinks `max_batch`
 ///    live under sustained queue pressure; in execute mode the shrink
-///    travels through Session::set_exec_config on every bucket session, so
+///    travels through Session::set_exec_config on each replica's session, so
 ///    it is enforced by the runtime, not by fleet bookkeeping;
 ///  * autoscaling — a control tick compares mean queue depth per replica
 ///    against watermarks and adds (kScaleUp) or drains (kScaleDown)
@@ -65,7 +66,7 @@ struct FleetConfig {
   DType dtype = DType::kFP32;  ///< cost-model precision
   bool quantized = false;      ///< execute via make_quantized_session
 
-  /// Run real tensors through bucket sessions on dispatch (CRC-stamped
+  /// Run real tensors through each replica's batcher on dispatch (CRC-stamped
   /// responses). Off = analytic timing only (the big sweeps).
   bool execute = false;
 
@@ -176,8 +177,8 @@ class Fleet {
   std::vector<std::string> replicas() const { return ring_.members(); }
 
   /// The batcher serving \p replica (execute mode; throws NotFound
-  /// otherwise) — lets tests watch a brownout shrink through the bucket
-  /// sessions' own Session API.
+  /// otherwise) — lets tests watch a brownout shrink through the
+  /// session's own Session API.
   DynamicBatcher& batcher(const std::string& replica) const;
 
  private:

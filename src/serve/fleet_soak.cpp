@@ -151,18 +151,13 @@ void check_batched_equality(const FleetSoakConfig& cfg, const Graph& model,
                             const FleetReport& report,
                             const std::map<std::uint64_t, Request>& requests,
                             std::vector<std::string>& violations) {
-  std::map<std::int64_t, std::unique_ptr<Graph>> ref_graphs;
-  std::map<std::int64_t, std::unique_ptr<runtime::Session>> ref_sessions;
+  // One reference session runs every request at its own batch.
+  const std::unique_ptr<runtime::Session> session = runtime::make_session(model, {});
   std::size_t checked = 0;
   for (const Response& r : report.responses) {
     if (checked >= cfg.equality_samples) break;
     if (r.status != ResponseStatus::kOk || r.cache_hit || r.served_by.empty()) continue;
     const Request& req = requests.at(r.request_id);
-    auto& session = ref_sessions[req.batch];
-    if (!session) {
-      ref_graphs[req.batch] = std::make_unique<Graph>(rebatched(model, req.batch));
-      session = runtime::make_session(*ref_graphs[req.batch], {});
-    }
     const Tensor input = synthesize_input(model, cfg.seed, req);
     const Tensor output = session->run_single(input);
     const std::uint32_t crc = util::crc32(output.data());

@@ -240,7 +240,11 @@ TEST(DynamicBatcher, BrownoutShrinkEnforcedByBucketSessions) {
   EXPECT_NO_THROW((void)batcher.bucket_session(8).run_single(wide));
 }
 
-TEST(DynamicBatcher, PadsToBucketAndSplitsBitwise) {
+TEST(DynamicBatcher, RunsExactLanesAndSplitsBitwise) {
+  // One session over the caller's graph runs a coalesced group as exactly
+  // its lanes: 3 singletons are 3 lanes (no zero lane pads them to the
+  // width-4 bucket), and a batch-2 request next to a singleton comes back
+  // at its own width. Every lane is bitwise a singleton run.
   Graph g = small_mlp(13);
   DynamicBatcher::Config bc;
   bc.max_batch = 4;
@@ -249,15 +253,27 @@ TEST(DynamicBatcher, PadsToBucketAndSplitsBitwise) {
   Rng data_rng(14);
   std::vector<Tensor> inputs;
   for (int i = 0; i < 3; ++i) inputs.emplace_back(Shape{1, 16}, data_rng.normal_vector(16));
-  const auto outputs = batcher.run(inputs);  // 3 lanes on the width-4 bucket
+  const auto outputs = batcher.run(inputs);
   ASSERT_EQ(outputs.size(), 3u);
-  EXPECT_EQ(batcher.padded_lanes(), 1u);
+  EXPECT_EQ(batcher.lanes_run(), 3u);  // no zero lane padded the group to 4
+  EXPECT_EQ(&batcher.bucket_session(1), &batcher.bucket_session(4));  // one session
 
   const auto single = runtime::make_session(g, {});
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const Tensor ref = single->run_single(inputs[i]);
     EXPECT_EQ(util::crc32(outputs[i].data()), util::crc32(ref.data())) << i;
   }
+
+  const std::vector<Tensor> mixed = {stack_batch(std::span<const Tensor>(inputs.data(), 2)),
+                                     inputs[2]};
+  const auto mixed_out = batcher.run(mixed);
+  ASSERT_EQ(mixed_out.size(), 2u);
+  EXPECT_EQ(mixed_out[0].shape().dim(0), 2);
+  EXPECT_EQ(util::crc32(mixed_out[0].data()),
+            util::crc32(stack_batch(std::span<const Tensor>(outputs.data(), 2)).data()));
+  EXPECT_EQ(util::crc32(mixed_out[1].data()), util::crc32(outputs[2].data()));
+  EXPECT_EQ(batcher.lanes_run(), 6u);
+  EXPECT_EQ(batcher.batches_run(), 2u);
 }
 
 // ---------------------------------------------------------------------------

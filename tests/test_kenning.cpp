@@ -120,7 +120,8 @@ ModelWrapper make_wrapper(std::uint64_t seed = 3) {
   return ModelWrapper("clf", std::move(g));
 }
 
-std::vector<Sample> make_dataset(const ModelWrapper& wrapper, std::size_t n) {
+std::vector<Sample> make_dataset(const ModelWrapper& wrapper, std::size_t n,
+                                 const Shape& input = Shape{1, 8}) {
   // Label every sample with the model's own prediction so accuracy on the
   // unmodified model is exactly 1 (a clean baseline for optimizations).
   std::vector<Sample> out;
@@ -129,7 +130,7 @@ std::vector<Sample> make_dataset(const ModelWrapper& wrapper, std::size_t n) {
   Rng rng(77);
   for (std::size_t i = 0; i < n; ++i) {
     Sample s;
-    s.input = Tensor(Shape{1, 8}, rng.normal_vector(8));
+    s.input = Tensor(input, rng.normal_vector(static_cast<std::size_t>(input.numel())));
     const Tensor y = testutil::exec_single(exec, g, s.input);
     s.label = wrapper.postprocess(y);
     out.push_back(std::move(s));
@@ -156,8 +157,13 @@ TEST(ModelWrapper, CustomHooks) {
 }
 
 TEST(HostRuntime, MeasuresLatencyMemoryQuality) {
-  ModelWrapper w = make_wrapper();
-  const auto dataset = make_dataset(w, 20);
+  // Width 64 on a 32x32 image runs for milliseconds per sample, so one
+  // preempted sample cannot drag the mean past twice the p90.
+  Graph g = zoo::micro_cnn("lat", 1, 1, 32, 4, 64);
+  Rng rng(3);
+  g.materialize_weights(rng);
+  ModelWrapper w("lat", std::move(g));
+  const auto dataset = make_dataset(w, 20, Shape{1, 1, 32, 32});
   HostRuntime rt;
   const auto report = rt.benchmark(w, dataset);
   EXPECT_EQ(report.samples, 20u);

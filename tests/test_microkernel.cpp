@@ -29,7 +29,6 @@
 #include "runtime/kernels.hpp"
 #include "runtime/microkernel.hpp"
 #include "runtime/packed_cache.hpp"
-#include "runtime/qexecutor.hpp"
 #include "runtime/session.hpp"
 #include "safety/model_store.hpp"
 #include "safety/scrub.hpp"
@@ -714,13 +713,13 @@ TEST(SessionDispatch, Int8ConvVariantsBitwiseAcrossLevels) {
   Graph g = deploy_ready_q(conv_variants_graph(), 9, in_shape);
   const Tensor in(in_shape, rand_f32(400, 78));
 
-  QuantizedExecutor portable(g);
+  Executor portable(g, DType::kINT8);
   portable.set_simd(util::SimdLevel::kPortable);
-  const QTensor qp = portable.run_single(in);
+  const QTensor qp = portable.run_quantized(in);
 
-  QuantizedExecutor simd(g);
+  Executor simd(g, DType::kINT8);
   simd.set_simd(util::SimdLevel::kAuto);
-  const QTensor qs = simd.run_single(in);
+  const QTensor qs = simd.run_quantized(in);
 
   // Exact int32 arithmetic at every level: bytes and saturation counters
   // must be identical, not merely close.
@@ -739,25 +738,25 @@ TEST(SessionDispatch, Int8SwitchingAvx2AndAvxVnniRepacksAndStaysBitwise) {
   const Shape in_shape{2, 4, 10, 10};
   Graph g = deploy_ready_q(conv_variants_graph(2), 17, in_shape);
   const Tensor in(in_shape, rand_f32(800, 81));
-  QuantizedExecutor portable(g);
+  Executor portable(g, DType::kINT8);
   portable.set_simd(util::SimdLevel::kPortable);
-  const QTensor ref = portable.run_single(in);
+  const QTensor ref = portable.run_quantized(in);
 
-  QuantizedExecutor exec(g);
+  Executor exec(g, DType::kINT8);
   std::size_t packs = 0;
   for (auto level : {util::SimdLevel::kAvx2, util::SimdLevel::kAvxVnni, util::SimdLevel::kAvx2,
                      util::SimdLevel::kAvxVnni}) {
     SCOPED_TRACE(util::simd_level_name(level));
     exec.set_simd(level);
     const std::uint64_t sat0 = exec.saturations();
-    const QTensor got = exec.run_single(in);
+    const QTensor got = exec.run_quantized(in);
     EXPECT_EQ(exec.active_simd(), level);
     EXPECT_GT(exec.weight_packs(), packs);  // the other level's panels are stale
     packs = exec.weight_packs();
     ASSERT_EQ(got.data, ref.data);
     EXPECT_EQ(exec.saturations() - sat0, portable.saturations());
   }
-  (void)exec.run_single(in);
+  (void)exec.run_quantized(in);
   EXPECT_EQ(exec.weight_packs(), packs);  // same level again: cache hits only
 }
 
@@ -765,12 +764,12 @@ TEST(SessionDispatch, Int8DenseBatchedBitwiseAcrossLevels) {
   const Shape in_shape{4, 16};
   Graph g = deploy_ready_q(zoo::micro_mlp("m", 4, 16, {24, 12}, 4), 13, in_shape);
   const Tensor in(in_shape, rand_f32(64, 80));
-  QuantizedExecutor portable(g);
+  Executor portable(g, DType::kINT8);
   portable.set_simd(util::SimdLevel::kPortable);
-  QuantizedExecutor simd(g);
+  Executor simd(g, DType::kINT8);
   simd.set_simd(util::SimdLevel::kAuto);
-  const QTensor qp = portable.run_single(in);
-  const QTensor qs = simd.run_single(in);
+  const QTensor qp = portable.run_quantized(in);
+  const QTensor qs = simd.run_quantized(in);
   for (std::size_t i = 0; i < qp.data.size(); ++i) ASSERT_EQ(qp.data[i], qs.data[i]);
 }
 
@@ -796,14 +795,14 @@ TEST(Determinism, Int8ParallelVsSerialBitwiseAtSimdLevel) {
   const Shape in_shape{1, 4, 10, 10};
   Graph g = deploy_ready_q(conv_variants_graph(), 31, in_shape);
   const Tensor in(in_shape, rand_f32(400, 91));
-  QuantizedExecutor serial(g);
+  Executor serial(g, DType::kINT8);
   serial.set_simd(util::SimdLevel::kAuto);
   serial.set_threads(1);
-  QuantizedExecutor parallel(g);
+  Executor parallel(g, DType::kINT8);
   parallel.set_simd(util::SimdLevel::kAuto);
   parallel.set_threads(4);
-  const QTensor a = serial.run_single(in);
-  const QTensor b = parallel.run_single(in);
+  const QTensor a = serial.run_quantized(in);
+  const QTensor b = parallel.run_quantized(in);
   for (std::size_t i = 0; i < a.data.size(); ++i) ASSERT_EQ(a.data[i], b.data[i]);
   EXPECT_EQ(serial.saturations(), parallel.saturations());
 }
@@ -873,9 +872,9 @@ TEST(Determinism, ConvBatchLanesBitwiseEqualSingletonAtEveryLevel) {
   for (auto level : kLevels) {
     SCOPED_TRACE(util::simd_level_name(level));
     const Tensor out = run_at_level(g3, batch_in, level, 2);
-    QuantizedExecutor q3(g3);
+    Executor q3(g3, DType::kINT8);
     q3.set_simd(level);
-    const QTensor qout = q3.run_single(batch_in);
+    const QTensor qout = q3.run_quantized(batch_in);
     std::uint64_t lane_saturations = 0;
     for (std::int64_t b = 0; b < kBatch; ++b) {
       const Tensor alone = run_at_level(g1, samples[static_cast<std::size_t>(b)], level);
@@ -885,9 +884,9 @@ TEST(Determinism, ConvBatchLanesBitwiseEqualSingletonAtEveryLevel) {
                   std::bit_cast<std::uint32_t>(alone.data()[j]))
             << "f32 lane=" << b << " j=" << j;
       }
-      QuantizedExecutor q1(g1);
+      Executor q1(g1, DType::kINT8);
       q1.set_simd(level);
-      const QTensor qalone = q1.run_single(samples[static_cast<std::size_t>(b)]);
+      const QTensor qalone = q1.run_quantized(samples[static_cast<std::size_t>(b)]);
       lane_saturations += q1.saturations();
       for (std::size_t j = 0; j < row; ++j) {
         ASSERT_EQ(qout.data[static_cast<std::size_t>(b) * row + j], qalone.data[j])
@@ -895,6 +894,76 @@ TEST(Determinism, ConvBatchLanesBitwiseEqualSingletonAtEveryLevel) {
       }
     }
     EXPECT_EQ(q3.saturations(), lane_saturations);
+  }
+}
+
+TEST(Determinism, OneSessionServesEveryWidthBitwiseEqualSingleton) {
+  // Plans take the batch from the feed: one f32 and one int8 session over
+  // batch-1 graphs run widths 1, 3, 5 and 8 interleaved (the arena grows
+  // and is reused at narrower widths). Every lane must be bitwise equal to
+  // the same sample run alone through that session, and an int8 run's
+  // saturations must be the sum of its lanes', at both dispatch levels and
+  // at 1 and 2 threads.
+  struct Model {
+    const char* name;
+    Graph graph;
+    Shape lane;
+  };
+  Model models[] = {
+      {"conv_variants", deploy_ready_q(conv_variants_graph(1), 111, Shape{1, 4, 10, 10}),
+       Shape{1, 4, 10, 10}},
+      {"micro_mlp", deploy_ready_q(zoo::micro_mlp("m", 1, 16, {24, 12}, 4), 112, Shape{1, 16}),
+       Shape{1, 16}},
+  };
+  constexpr std::int64_t kWidths[] = {5, 1, 8, 3, 8, 1, 5, 3};
+  for (const Model& m : models) {
+    const std::string feed = m.graph.node(m.graph.inputs().front()).name;
+    std::vector<Tensor> samples;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      samples.emplace_back(m.lane, rand_f32(static_cast<std::size_t>(m.lane.numel()), 120 + i));
+    }
+    for (auto level : kLevels) {
+      for (unsigned threads : {1u, 2u}) {
+        for (bool quantized : {false, true}) {
+          SCOPED_TRACE(std::string(m.name) + " " + std::string(util::simd_level_name(level)) +
+                       " threads " + std::to_string(threads) + (quantized ? " int8" : " f32"));
+          runtime::RunOptions o;
+          o.exec.simd = level;
+          o.exec.threads = threads;
+          auto session = quantized ? runtime::make_quantized_session(m.graph, o)
+                                   : runtime::make_session(m.graph, o);
+          std::vector<Tensor> alone;
+          std::vector<std::uint64_t> lane_sat;
+          std::uint64_t sat = 0;
+          for (const Tensor& x : samples) {
+            const runtime::RunResult r = session->run({{feed, x}});
+            alone.push_back(r.single());
+            lane_sat.push_back(r.saturations - sat);
+            sat = r.saturations;
+          }
+          for (const std::int64_t w : kWidths) {
+            const auto lanes = static_cast<std::size_t>(w);
+            const runtime::RunResult r =
+                session->run({{feed, stack_batch(std::span<const Tensor>(samples.data(), lanes))}});
+            const std::vector<Tensor> out = split_batch(r.single());
+            ASSERT_EQ(out.size(), lanes);
+            std::uint64_t want_sat = 0;
+            for (std::size_t i = 0; i < lanes; ++i) {
+              ASSERT_EQ(out[i].numel(), alone[i].numel());
+              for (std::int64_t j = 0; j < out[i].numel(); ++j) {
+                const auto k = static_cast<std::size_t>(j);
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i].data()[k]),
+                          std::bit_cast<std::uint32_t>(alone[i].data()[k]))
+                    << "width " << w << " lane " << i << " j " << j;
+              }
+              want_sat += lane_sat[i];
+            }
+            EXPECT_EQ(r.saturations - sat, want_sat) << "width " << w;
+            sat = r.saturations;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -1006,21 +1075,21 @@ TEST(SelfHeal, Int8RepairTriggersRepreparationAndBitwiseCleanRerun) {
     store.install("net", live);
     const Tensor in(in_shape, rand_f32(400, 96));
 
-    QuantizedExecutor exec(live);
+    Executor exec(live, DType::kINT8);
     exec.set_simd(level);
     EXPECT_EQ(exec.preparations(), 1u);
-    const QTensor clean = exec.run_single(in);
+    const QTensor clean = exec.run_quantized(in);
 
     safety::WeightScrubber scrub(live, {64});  // baselines the clean bits
     flip_weight_bit(live);
-    (void)exec.run_single(in);  // self-heal re-quantizes from the corrupt bits
+    (void)exec.run_quantized(in);  // self-heal re-quantizes from the corrupt bits
     EXPECT_EQ(exec.preparations(), 2u);
 
     const auto hits = scrub.full_scan();
     ASSERT_FALSE(hits.empty());
     EXPECT_GE(store.repair("net", live, hits), 1u);
 
-    const QTensor healed = exec.run_single(in);
+    const QTensor healed = exec.run_quantized(in);
     EXPECT_EQ(exec.preparations(), 3u);  // repair touched the graph again
     ASSERT_EQ(healed.data.size(), clean.data.size());
     for (std::size_t i = 0; i < clean.data.size(); ++i) {

@@ -1,17 +1,18 @@
-// Tests for the true-integer INT8 executor: agreement with the float
+// Tests for true-integer INT8 execution: agreement with the float
 // reference (through the unified runtime::Session API), integer-domain
-// invariants (through the executor directly, which exposes QTensor), and
-// its preconditions.
+// invariants (through an int8 Executor directly, whose run_quantized
+// exposes QTensor), and its preconditions.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "graph/zoo.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
 #include "reference_kernels.hpp"
-#include "runtime/qexecutor.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/session.hpp"
 #include "util/rng.hpp"
 
@@ -62,7 +63,7 @@ TEST(QTensor, QuantizeSaturates) {
   EXPECT_EQ(q.data[1], -128);
 }
 
-TEST(QuantizedExecutor, MatchesFloatOnMicroMlp) {
+TEST(Int8Executor, MatchesFloatOnMicroMlp) {
   const Shape in_shape{1, 16};
   Graph g = deploy_ready(zoo::micro_mlp("m", 1, 16, {24, 12}, 4), 11, in_shape, 32);
   auto fsession = runtime::make_session(g);
@@ -91,7 +92,7 @@ TEST(QuantizedExecutor, MatchesFloatOnMicroMlp) {
                              // on samples outside the calibration range is expected)
 }
 
-TEST(QuantizedExecutor, MatchesFloatOnMicroCnn) {
+TEST(Int8Executor, MatchesFloatOnMicroCnn) {
   const Shape in_shape{1, 1, 16, 16};
   Graph g = deploy_ready(zoo::micro_cnn("m", 1, 1, 16, 4), 21, in_shape);
   auto fsession = runtime::make_session(g);
@@ -113,18 +114,18 @@ TEST(QuantizedExecutor, MatchesFloatOnMicroCnn) {
   EXPECT_GE(agree, 14);
 }
 
-TEST(QuantizedExecutor, OutputScaleIsCalibrated) {
+TEST(Int8Executor, OutputScaleIsCalibrated) {
   const Shape in_shape{1, 8};
   Graph g = deploy_ready(zoo::micro_mlp("m", 1, 8, {8}, 3), 31, in_shape);
-  QuantizedExecutor qexec(g);
+  Executor qexec(g, DType::kINT8);
   Rng rng(5);
-  const QTensor q = qexec.run_single(Tensor(in_shape, rng.normal_vector(8)));
+  const QTensor q = qexec.run_quantized(Tensor(in_shape, rng.normal_vector(8)));
   // softmax outputs in [0,1] -> scale must be <= ~1/127
   EXPECT_LE(q.scale, 1.0 / 127.0 + 1e-9);
   for (std::int8_t v : q.data) EXPECT_GE(v, 0);  // probabilities are non-negative
 }
 
-TEST(QuantizedExecutor, FusedReluClampsNegative) {
+TEST(Int8Executor, FusedReluClampsNegative) {
   // Single conv with fused relu: a strongly negative accumulation must
   // land exactly at q=0.
   Graph g("t");
@@ -142,52 +143,77 @@ TEST(QuantizedExecutor, FusedReluClampsNegative) {
   g.node(in).attrs.set_float("act_scale", 0.01);
   g.node(c).attrs.set_float("act_scale", 0.01);
 
-  QuantizedExecutor qexec(g);
-  const QTensor q = qexec.run_single(Tensor(Shape{1, 1, 1, 1}, {1.0f}));
+  Executor qexec(g, DType::kINT8);
+  const QTensor q = qexec.run_quantized(Tensor(Shape{1, 1, 1, 1}, {1.0f}));
   EXPECT_EQ(q.data[0], 0);  // relu(-1.0) == 0 in the integer domain
 }
 
-TEST(QuantizedExecutor, RequantTablesMatchPerElementRequant) {
+TEST(Int8Executor, RequantTablesMatchPerElementRequant) {
   // Relu6 and Flatten run through a 256-entry table built at prepare(), the
-  // residual Add through a 65536-entry table over (a, b) byte pairs; each
-  // must give the bytes and saturation counts of requantizing every element
-  // on its own in double. Hand-set scales make the Relu6 rescale and the
-  // Add saturate on purpose.
+  // residual Add through a 65536-entry table over (a, b) byte pairs, and
+  // MaxPool takes the window max and then looks it up in a 256-entry table;
+  // each must give the bytes and saturation counts of requantizing every
+  // element on its own in double. Hand-set scales make the Relu6 rescale,
+  // the Add and the pool saturate on purpose.
   Graph g("requant");
   const NodeId in = g.add_input("x", Shape{2, 4, 8, 8});
   const NodeId r6 = g.add(OpKind::kRelu6, "r6", {in});
   const NodeId sum = g.add(OpKind::kAdd, "sum", {in, r6});
-  const NodeId flat = g.add(OpKind::kFlatten, "flat", {sum});
-  const double s_in = 0.05, s_r6 = 0.02, s_sum = 0.035, s_flat = 0.03;
+  AttrMap pa;
+  pa.set_int("kernel", 3);
+  pa.set_int("stride", 2);
+  pa.set_int("pad", 1);
+  const NodeId pool = g.add(OpKind::kMaxPool, "pool", {sum}, pa);
+  const NodeId flat = g.add(OpKind::kFlatten, "flat", {pool});
+  const double s_in = 0.05, s_r6 = 0.02, s_sum = 0.035, s_pool = 0.02, s_flat = 0.03;
   g.node(in).attrs.set_float("act_scale", s_in);
   g.node(r6).attrs.set_float("act_scale", s_r6);
   g.node(sum).attrs.set_float("act_scale", s_sum);
+  g.node(pool).attrs.set_float("act_scale", s_pool);
   g.node(flat).attrs.set_float("act_scale", s_flat);
   Rng rng(47);
   const Tensor x(Shape{2, 4, 8, 8}, rng.normal_vector(512));
 
-  QuantizedExecutor exec(g);
-  const QTensor got = exec.run_single(x);
+  Executor exec(g, DType::kINT8);
+  const QTensor got = exec.run_quantized(x);
 
   const QTensor qx = quantize_fixed(x, s_in);
-  std::uint64_t sat = 0, add_sat = 0;
-  std::vector<std::int8_t> want(qx.data.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
+  std::uint64_t sat = 0, add_sat = 0, pool_sat = 0;
+  std::vector<std::int8_t> added(qx.data.size());
+  for (std::size_t i = 0; i < added.size(); ++i) {
     const std::int8_t mid = runtime_kernels::requant_clamped(
         static_cast<double>(qx.data[i]) * (s_in / s_r6), 0, 127, sat);  // 6/0.02 > 127
-    const std::int8_t added = runtime_kernels::requant_clamped(
+    added[i] = runtime_kernels::requant_clamped(
         (static_cast<double>(qx.data[i]) * s_in + static_cast<double>(mid) * s_r6) / s_sum, -128,
         127, add_sat);
-    want[i] = runtime_kernels::requant_clamped(static_cast<double>(added) * (s_sum / s_flat),
-                                               -128, 127, sat);
+  }
+  std::vector<std::int8_t> want;
+  for (std::size_t plane = 0; plane < 8; ++plane) {  // 2 samples x 4 channels, 8x8 -> 4x4
+    for (std::int64_t oh = 0; oh < 4; ++oh) {
+      for (std::int64_t ow = 0; ow < 4; ++ow) {
+        std::int32_t best = std::numeric_limits<std::int32_t>::min();
+        for (std::int64_t ih = 2 * oh - 1; ih <= 2 * oh + 1; ++ih) {
+          for (std::int64_t iw = 2 * ow - 1; iw <= 2 * ow + 1; ++iw) {
+            if (ih < 0 || ih >= 8 || iw < 0 || iw >= 8) continue;
+            const auto at = plane * 64 + static_cast<std::size_t>(ih * 8 + iw);
+            best = std::max<std::int32_t>(best, added[at]);
+          }
+        }
+        const std::int8_t pooled = runtime_kernels::requant_clamped(
+            static_cast<double>(best) * (s_sum / s_pool), -128, 127, pool_sat);
+        want.push_back(runtime_kernels::requant_clamped(
+            static_cast<double>(pooled) * (s_pool / s_flat), -128, 127, sat));
+      }
+    }
   }
   EXPECT_EQ(got.data, want);
   EXPECT_GT(sat, 0u);
   EXPECT_GT(add_sat, 0u);
-  EXPECT_EQ(exec.saturations(), sat + add_sat);
+  EXPECT_GT(pool_sat, 0u);
+  EXPECT_EQ(exec.saturations(), sat + add_sat + pool_sat);
 }
 
-TEST(QuantizedExecutor, AddThenUnaryTableComposesExactly) {
+TEST(Int8Executor, AddThenUnaryTableComposesExactly) {
   // A Relu, Relu6 or Identity that is the only consumer of an Add runs as
   // one lookup in the composed table, and the unary node forwards the Add's
   // buffer. Bytes and saturation counts must equal requantizing the Add and
@@ -209,8 +235,8 @@ TEST(QuantizedExecutor, AddThenUnaryTableComposesExactly) {
     Rng rng(48);
     const Tensor x(Shape{2, 4, 8, 8}, rng.normal_vector(512));
 
-    QuantizedExecutor exec(g);
-    const QTensor got = exec.run_single(x);
+    Executor exec(g, DType::kINT8);
+    const QTensor got = exec.run_quantized(x);
     EXPECT_EQ(exec.nodes_executed(), 4u);
 
     const std::int32_t u_lo = unary == OpKind::kIdentity ? -128 : 0;
@@ -234,21 +260,62 @@ TEST(QuantizedExecutor, AddThenUnaryTableComposesExactly) {
   }
 }
 
-TEST(QuantizedExecutor, UnfoldedBatchNormRejected) {
+TEST(Int8Executor, ConcatAtBatchMatchesSingletonRuns) {
+  // Concat appends each sample's channels input by input, each through its
+  // own 256-entry requant table; a batch-3 run must give every lane the
+  // bytes, and the run the saturations, of the three singleton runs.
+  Graph g("cat");
+  const NodeId in = g.add_input("x", Shape{1, 2, 4, 4});
+  const NodeId r = g.add(OpKind::kRelu, "r", {in});
+  AttrMap a;
+  a.set_int("out_channels", 3);
+  a.set_int("kernel", 1);
+  a.set_int("stride", 1);
+  a.set_int("pad", 0);
+  a.set_int("groups", 1);
+  a.set_int("bias", 1);
+  const NodeId c = g.add(OpKind::kConv2d, "c", {in}, a);
+  AttrMap ca;
+  ca.set_int("axis", 1);
+  const NodeId cat = g.add(OpKind::kConcat, "cat", {r, c}, ca);
+  Rng rng(51);
+  g.materialize_weights(rng);
+  g.node(in).attrs.set_float("act_scale", 0.02);
+  g.node(r).attrs.set_float("act_scale", 0.015);
+  g.node(c).attrs.set_float("act_scale", 0.03);
+  g.node(cat).attrs.set_float("act_scale", 0.025);  // the Relu lane saturates
+
+  std::vector<Tensor> lanes;
+  for (int i = 0; i < 3; ++i) lanes.emplace_back(Shape{1, 2, 4, 4}, rng.normal_vector(32));
+  Executor single(g, DType::kINT8);
+  std::vector<std::int8_t> want;
+  for (const Tensor& x : lanes) {
+    const QTensor q = single.run_quantized(x);
+    want.insert(want.end(), q.data.begin(), q.data.end());
+  }
+  Executor batched(g, DType::kINT8);
+  const QTensor got = batched.run_quantized(stack_batch(lanes));
+  EXPECT_EQ(got.shape, (Shape{3, 5, 4, 4}));
+  EXPECT_EQ(got.data, want);
+  EXPECT_GT(single.saturations(), 0u);
+  EXPECT_EQ(batched.saturations(), single.saturations());
+}
+
+TEST(Int8Executor, UnfoldedBatchNormRejected) {
   Graph g = zoo::micro_cnn("m", 1, 1, 16, 4);  // contains BN
   Rng rng(1);
   g.materialize_weights(rng);
-  EXPECT_THROW(QuantizedExecutor{g}, Unsupported);
+  EXPECT_THROW(Executor(g, DType::kINT8), Unsupported);
 }
 
-TEST(QuantizedExecutor, MissingCalibrationRejected) {
+TEST(Int8Executor, MissingCalibrationRejected) {
   Graph g = zoo::micro_mlp("m", 1, 8, {8}, 3);  // no BN, but no act_scale either
   Rng rng(1);
   g.materialize_weights(rng);
-  EXPECT_THROW(QuantizedExecutor{g}, Unsupported);
+  EXPECT_THROW(Executor(g, DType::kINT8), Unsupported);
 }
 
-TEST(QuantizedExecutor, SaturationCounterTracksClipping) {
+TEST(Int8Executor, SaturationCounterTracksClipping) {
   // Force saturation: tiny output scale cannot represent the accumulation.
   Graph g("t");
   const NodeId in = g.add_input("x", Shape{1, 4});
@@ -259,12 +326,12 @@ TEST(QuantizedExecutor, SaturationCounterTracksClipping) {
   g.node(fc).weights = {Tensor(Shape{2, 4}, {1, 1, 1, 1, 1, 1, 1, 1})};
   g.node(in).attrs.set_float("act_scale", 0.05);
   g.node(fc).attrs.set_float("act_scale", 1e-4);  // absurdly small
-  QuantizedExecutor qexec(g);
-  qexec.run_single(Tensor(Shape{1, 4}, {5, 5, 5, 5}));
+  Executor qexec(g, DType::kINT8);
+  qexec.run_quantized(Tensor(Shape{1, 4}, {5, 5, 5, 5}));
   EXPECT_GT(qexec.saturations(), 0u);
 }
 
-TEST(QuantizedExecutor, DepthwiseConvSupported) {
+TEST(Int8Executor, DepthwiseConvSupported) {
   Graph g("t");
   const NodeId in = g.add_input("x", Shape{1, 2, 4, 4});
   AttrMap a;
@@ -291,7 +358,7 @@ TEST(QuantizedExecutor, DepthwiseConvSupported) {
   (void)c;
 }
 
-TEST(QuantizedExecutor, UnsupportedOpRejectedAtRun) {
+TEST(Int8Executor, UnsupportedOpRejectedAtRun) {
   Graph g("t");
   const NodeId in = g.add_input("x", Shape{1, 2, 2, 2});
   g.add(OpKind::kMish, "mish", {in});
@@ -299,8 +366,8 @@ TEST(QuantizedExecutor, UnsupportedOpRejectedAtRun) {
   g.materialize_weights(rng);
   std::vector<Tensor> samples{Tensor(Shape{1, 2, 2, 2}, rng.normal_vector(8))};
   opt::calibrate_activations(g, samples);
-  QuantizedExecutor qexec(g);
-  EXPECT_THROW((void)qexec.run_single(Tensor(Shape{1, 2, 2, 2}, rng.normal_vector(8))),
+  Executor qexec(g, DType::kINT8);
+  EXPECT_THROW((void)qexec.run_quantized(Tensor(Shape{1, 2, 2, 2}, rng.normal_vector(8))),
                Unsupported);
 }
 
@@ -308,17 +375,17 @@ TEST(QuantizedExecutor, UnsupportedOpRejectedAtRun) {
 // Parallel execution: integer kernels must be exactly deterministic
 // ---------------------------------------------------------------------------
 
-TEST(QuantizedExecutor, ResNet50ParallelBitwiseIdenticalToSerial) {
+TEST(Int8Executor, ResNet50ParallelBitwiseIdenticalToSerial) {
   Graph g = deploy_ready(zoo::resnet50(1, 10, 32), 41, Shape{1, 3, 32, 32});
   Rng data_rng(42);
   Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
 
-  QuantizedExecutor serial(g);
-  const QTensor qs = serial.run_single(x);
+  Executor serial(g, DType::kINT8);
+  const QTensor qs = serial.run_quantized(x);
 
-  QuantizedExecutor mt(g);
+  Executor mt(g, DType::kINT8);
   mt.set_threads(4);
-  const QTensor qm = mt.run_single(x);
+  const QTensor qm = mt.run_quantized(x);
 
   EXPECT_EQ(qs.data, qm.data);  // int8 payloads: bitwise
   EXPECT_DOUBLE_EQ(qs.scale, qm.scale);
@@ -326,7 +393,7 @@ TEST(QuantizedExecutor, ResNet50ParallelBitwiseIdenticalToSerial) {
   EXPECT_EQ(serial.saturations(), mt.saturations());
 }
 
-/// The int8 conv route of QuantizedExecutor at one dispatch table: the
+/// The int8 conv route of the int8 Executor at one dispatch table: the
 /// direct depthwise kernel over (sample, channel), or per group B panels
 /// packed straight from the NCHW input and the table's GEMM tile over N =
 /// batch·cols storing straight into NCHW. Returns the saturation count.
@@ -352,7 +419,7 @@ std::uint64_t route_conv_s8(const runtime_kernels::GemmMicrokernels& mk,
   return sat;
 }
 
-TEST(QuantizedExecutor, GemmConvBitwiseMatchesDirectConv) {
+TEST(Int8Executor, GemmConvBitwiseMatchesDirectConv) {
   // Unlike the float path, int8 GEMM accumulates in int32: integer addition
   // is associative, so the packed-panel microkernel route must agree with the
   // direct loop bit for bit, saturation counts included, over a geometry

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -382,6 +383,37 @@ TEST(Planner, ResidualLifetimesDontOverlapInArena) {
   const auto& input_buf = plan.buffers.front();
   EXPECT_EQ(input_buf.node, in);
   EXPECT_EQ(input_buf.last_use, plan.buffers.back().first_use);
+}
+
+TEST(Planner, ForwardingNodeSharesItsInputsBuffer) {
+  // The int8 executor composes each residual Add's Relu into the Add's
+  // table; the Relu then forwards the Add's buffer. The planner gives it no
+  // buffer of its own and keeps the Add's alive through the Relu's last
+  // consumer, so the plan stays valid.
+  Graph g = zoo::resnet50(1, 10, 32);
+  std::vector<NodeId> forwards;
+  for (NodeId id : g.topo_order()) {
+    const Node& n = g.node(id);
+    if (n.kind == OpKind::kRelu && g.node(n.inputs.front()).kind == OpKind::kAdd) {
+      forwards.push_back(id);
+    }
+  }
+  ASSERT_EQ(forwards.size(), 16u);
+  const auto order = g.topo_order();
+  const MemoryPlan plain = plan_memory_with_order(g, order, DType::kINT8);
+  const MemoryPlan plan = plan_memory_with_order(g, order, DType::kINT8, 64, forwards);
+  EXPECT_TRUE(plan_is_valid(plan));
+  EXPECT_EQ(plan.buffers.size() + forwards.size(), plain.buffers.size());
+  EXPECT_LT(plan.naive_bytes, plain.naive_bytes);
+  for (NodeId relu : forwards) {
+    const NodeId add = g.node(relu).inputs.front();
+    const auto buf = std::ranges::find(plan.buffers, add, &BufferPlan::node);
+    const auto own = std::ranges::find(plain.buffers, relu, &BufferPlan::node);
+    ASSERT_NE(buf, plan.buffers.end());
+    ASSERT_NE(own, plain.buffers.end());
+    EXPECT_EQ(std::ranges::count(plan.buffers, relu, &BufferPlan::node), 0);
+    EXPECT_EQ(buf->last_use, own->last_use);  // lives as long as the Relu's output did
+  }
 }
 
 // ---------------------------------------------------------------------------
