@@ -276,6 +276,31 @@ TEST(DynamicBatcher, RunsExactLanesAndSplitsBitwise) {
   EXPECT_EQ(batcher.batches_run(), 2u);
 }
 
+TEST(DynamicBatcher, ServesTheLiveGraphAfterAWeightChange) {
+  // The batcher's session reads the caller's graph, so a weight change that
+  // moves Graph::version() (an OTA swap, a scrub repair) reaches batched
+  // serving on the next run.
+  Graph g = small_mlp(15);
+  DynamicBatcher batcher(g, {});
+  Rng data_rng(16);
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < 2; ++i) inputs.emplace_back(Shape{1, 16}, data_rng.normal_vector(16));
+  const auto before = batcher.run(inputs);
+
+  for (NodeId id : g.topo_order()) {
+    if (g.node(id).weights.empty()) continue;
+    g.node(id).weights.front().at(0) += 1.0f;
+    break;
+  }
+  g.touch();
+  const auto after = batcher.run(inputs);
+  const auto fresh = runtime::make_session(g, {});
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_NE(util::crc32(after[i].data()), util::crc32(before[i].data())) << i;
+    EXPECT_EQ(util::crc32(after[i].data()), util::crc32(fresh->run_single(inputs[i]).data())) << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Chassis placement and power honesty
 // ---------------------------------------------------------------------------
